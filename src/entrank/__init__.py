@@ -20,9 +20,6 @@ from .entgames import (
     entanglement,
     entv_min_k,
     et_min_k,
-    solve_ent_game,
-    solve_entv_game,
-    solve_et_game,
     solve_pursuit,
 )
 from .gamecore import (
@@ -95,9 +92,6 @@ __all__ = [
     # pursuit games
     "PursuitGame",
     "solve_pursuit",
-    "solve_ent_game",
-    "solve_et_game",
-    "solve_entv_game",
     "entanglement",
     "et_min_k",
     "entv_min_k",

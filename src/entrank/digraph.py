@@ -13,15 +13,13 @@ solvers in this package work on (parent graph, mask) pairs internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Digraph",
     "SccDecomposition",
     "scc_decompose",
-    "reachable_sccs",
-    "remove_vertex",
-    "induced_subgraph",
+    "scc_memo",
     "mask_of",
     "iter_mask",
 ]
@@ -137,14 +135,6 @@ class Digraph:
         return f"Digraph({self._n}, {sorted(self._edges)!r})"
 
 
-def remove_vertex(g: Digraph, v: int) -> Digraph:
-    return g.remove_vertex(v)
-
-
-def induced_subgraph(g: Digraph, s: Iterable[int]) -> Digraph:
-    return g.induced_subgraph(s)
-
-
 @dataclass(frozen=True, eq=False)
 class SccDecomposition:
     """Strongly connected components of a (masked) digraph.
@@ -165,9 +155,6 @@ class SccDecomposition:
     nontrivial: frozenset[int]
     order: frozenset[tuple[int, int]]
     scc_of: dict[int, int]
-
-    def component_of(self, v: int) -> frozenset[int]:
-        return self.components[self.scc_of[v]]
 
     @property
     def nontrivial_components(self) -> tuple[frozenset[int], ...]:
@@ -291,20 +278,18 @@ def scc_decompose(g: Digraph, mask: int | None = None) -> SccDecomposition:
     )
 
 
-def reachable_sccs(
-    g: Digraph, d: SccDecomposition, c: Iterable[int]
-) -> set[frozenset[int]]:
-    """Nontrivial components of ``d`` reachable from the component ``c``.
+def scc_memo(g: Digraph) -> Callable[[int], SccDecomposition]:
+    """``scc_decompose(g, mask)`` memoised on ``mask``.
 
-    ``c`` must be one of the nontrivial components of ``d``; the result
-    never contains ``c`` itself unless a genuine round trip through a
-    different component exists (it cannot, so it never does).
+    Create one per solver call and drop it with the call: the memo keeps
+    every decomposition it returned alive for as long as it lives.
     """
-    comp = frozenset(c)
-    try:
-        i = d.components.index(comp)
-    except ValueError:
-        raise ValueError(f"{sorted(comp)} is not a component") from None
-    if i not in d.nontrivial:
-        raise ValueError(f"{sorted(comp)} is not a nontrivial component")
-    return {d.components[j] for j in d.ahead_of(i)}
+    memo: dict[int, SccDecomposition] = {}
+
+    def decompose(mask: int) -> SccDecomposition:
+        d = memo.get(mask)
+        if d is None:
+            d = memo[mask] = scc_decompose(g, mask)
+        return d
+
+    return decompose

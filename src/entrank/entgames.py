@@ -16,18 +16,21 @@ an infinite play is a thief win.
   virtual set -- retire any subset of it and optionally reserve one new
   vertex anywhere.  The union of both sets never exceeds ``k``.
 
-The solver enumerates the reachable arena breadth-first into flat
-adjacency arrays and computes the cops' forced-reachability set toward
+The move rules and the position and move key formats live only in
+:class:`PursuitGame`.  The solver enumerates the reachable arena
+breadth-first through ``PursuitGame.successors`` into flat adjacency
+arrays and computes the cops' forced-reachability set toward
 thief-stuck positions by the standard backward counting pass.  The
 extracted certificates are positional: cops follow strictly decreasing
 attractor ranks; a winning thief simply stays outside the attractor.
+Each recorded decision is named by ``PursuitGame.move_key``.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .digraph import Digraph
+from .digraph import Digraph, iter_mask
 from .gamecore import (
     COPS,
     DEFAULT_POSITION_CEILING,
@@ -35,14 +38,12 @@ from .gamecore import (
     ArenaCeilingError,
     GameResult,
     StrategyCertificate,
+    least_winning_k,
 )
 
 __all__ = [
     "PursuitGame",
     "solve_pursuit",
-    "solve_ent_game",
-    "solve_et_game",
-    "solve_entv_game",
     "entanglement",
     "et_min_k",
     "entv_min_k",
@@ -83,7 +84,6 @@ class PursuitGame:
         self.k = k
         self.variant = variant
         self.game_id = variant
-        self._cop_cache: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
 
     # -- move rules ------------------------------------------------------
 
@@ -92,13 +92,6 @@ class PursuitGame:
 
     def cop_configs(self, v: int, cmask: int, vmask: int) -> list[tuple[int, int]]:
         """Legal ``(cop_mask, virtual_mask)`` results of one Cops turn."""
-        key = (v, cmask, vmask)
-        got = self._cop_cache.get(key)
-        if got is None:
-            got = self._cop_cache[key] = self._cop_configs(v, cmask, vmask)
-        return got
-
-    def _cop_configs(self, v: int, cmask: int, vmask: int) -> list[tuple[int, int]]:
         k = self.k
         vb = 1 << v
         if self.variant == "ent":
@@ -148,44 +141,36 @@ class PursuitGame:
         return pos[3]
 
     def winner_if_terminal(self, pos) -> str | None:
-        if self.owner(pos) == THIEF and not self.moves(pos):
+        if self.owner(pos) == THIEF and not self.successors(pos):
             return COPS
         return None
 
-    def moves(self, pos):
+    def successors(self, pos):
         if pos == INIT:
-            return [(("start", v), (v, 0, 0, COPS)) for v in self.g.vertices()]
+            return [(v, 0, 0, COPS) for v in self.g.vertices()]
         v, cmask, vmask, turn = pos
         if turn == THIEF:
-            return [
-                (("to", w), (w, cmask, vmask, COPS))
-                for w in self.thief_targets(v, cmask)
-            ]
-        out = []
-        for c2, t2 in self.cop_configs(v, cmask, vmask):
-            mk = ("occupy", _verts(c2), _verts(t2))
-            out.append((mk, (v, c2, t2, THIEF)))
-        return out
+            return [(w, cmask, vmask, COPS) for w in self.thief_targets(v, cmask)]
+        return [(v, c2, t2, THIEF) for c2, t2 in self.cop_configs(v, cmask, vmask)]
+
+    def move_key(self, src, dst):
+        if src == INIT:
+            return ("start", dst[0])
+        if src[3] == THIEF:
+            return ("to", dst[0])
+        return ("occupy", tuple(iter_mask(dst[1])), tuple(iter_mask(dst[2])))
+
+    def moves(self, pos):
+        return [(self.move_key(pos, q), q) for q in self.successors(pos)]
 
     def pos_key(self, pos):
         if pos == INIT:
             return INIT
         v, cmask, vmask, turn = pos
-        return (v, _verts(cmask), _verts(vmask), turn)
+        return (v, tuple(iter_mask(cmask)), tuple(iter_mask(vmask)), turn)
 
     def memo_key(self, pos):
         return pos
-
-
-def _verts(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
@@ -205,21 +190,7 @@ def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
     while i < len(positions):
         pos = positions[i]
         thief_owned.append(1 if game.owner(pos) == THIEF else 0)
-        if pos == INIT:
-            targets = [(v, 0, 0, COPS) for v in g.vertices()]
-        else:
-            v, cmask, vmask, turn = pos
-            if turn == THIEF:
-                targets = [
-                    (w, cmask, vmask, COPS)
-                    for w in game.thief_targets(v, cmask)
-                ]
-            else:
-                targets = [
-                    (v, c2, t2, THIEF)
-                    for c2, t2 in game.cop_configs(v, cmask, vmask)
-                ]
-        for q in targets:
+        for q in game.successors(pos):
             j = index.get(q)
             if j is None:
                 j = len(positions)
@@ -305,7 +276,7 @@ def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
                         break
             if chosen < 0:
                 raise AssertionError("no progressing move at a won position")
-            cert.moves[game.pos_key(positions[p])] = _move_key(
+            cert.moves[game.pos_key(positions[p])] = game.move_key(
                 positions[p], positions[chosen]
             )
             nxt = [chosen]
@@ -318,43 +289,16 @@ def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
     return GameResult(winner, cert)
 
 
-def _move_key(src, dst):
-    if src == INIT:
-        return ("start", dst[0])
-    if src[3] == THIEF:
-        return ("to", dst[0])
-    return ("occupy", _verts(dst[1]), _verts(dst[2]))
-
-
-def solve_ent_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
-    return solve_pursuit(g, k, "ent", ceiling)
-
-
-def solve_et_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
-    return solve_pursuit(g, k, "et", ceiling)
-
-
-def solve_entv_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
-    return solve_pursuit(g, k, "entv", ceiling)
-
-
-def _min_k(g: Digraph, variant: str, ceiling: int | None) -> int:
-    for k in range(g.n + 1):
-        if solve_pursuit(g, k, variant, ceiling).winner == COPS:
-            return k
-    raise AssertionError("cops always win once every vertex can hold a cop")
-
-
 def entanglement(g: Digraph, ceiling: int | None = None) -> int:
     """Least number of cops that wins the plain pursuit game on ``g``."""
-    return _min_k(g, "ent", ceiling)
+    return least_winning_k(g, lambda k: solve_pursuit(g, k, "ent", ceiling))
 
 
 def et_min_k(g: Digraph, ceiling: int | None = None) -> int:
     """Least winning cop count in the retirement variant."""
-    return _min_k(g, "et", ceiling)
+    return least_winning_k(g, lambda k: solve_pursuit(g, k, "et", ceiling))
 
 
 def entv_min_k(g: Digraph, ceiling: int | None = None) -> int:
     """Least winning cop count in the virtual-cop variant."""
-    return _min_k(g, "entv", ceiling)
+    return least_winning_k(g, lambda k: solve_pursuit(g, k, "entv", ceiling))

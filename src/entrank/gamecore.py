@@ -6,7 +6,12 @@ Every game object in this package exposes the same small protocol:
 * ``initial_position()``
 * ``owner(pos)`` -> ``"thief"`` or ``"cops"``
 * ``winner_if_terminal(pos)`` -> winner string or ``None``
-* ``moves(pos)`` -> list of ``(move_key, successor)`` in canonical order
+* ``successors(pos)`` -> list of successor positions in canonical order
+* ``move_key(src, dst)`` -> canonical key of the move from ``src`` to
+  its successor ``dst``
+* ``moves(pos)`` -> list of ``(move_key, successor)``, derived from the
+  two above; solvers walk ``successors`` and name only the moves they
+  record, replay matches recorded moves against ``moves``
 * ``pos_key(pos)`` -> hashable, instance-independent position encoding
 * ``memo_key(pos)`` -> cheap per-instance hashable key
 * ``finite_plays`` -- True when no infinite play exists
@@ -53,6 +58,7 @@ __all__ = [
     "ReplayReport",
     "solve_finite_game",
     "extract_certificate",
+    "least_winning_k",
     "verify_certificate",
     "make_game",
     "certificate_to_json",
@@ -154,7 +160,7 @@ def solve_finite_game(game) -> GameResult:
                 stack.pop()
                 onstack.discard(key)
                 continue
-            f.children = [q for _, q in game.moves(f.pos)]
+            f.children = game.successors(f.pos)
         cops_node = game.owner(f.pos) == COPS
         result: bool | None = None
         descend = None
@@ -213,26 +219,29 @@ def extract_certificate(game, winner: str, value: Callable[[Any], str | None]) -
         pos = todo.pop()
         if game.winner_if_terminal(pos) is not None:
             continue
-        opts = game.moves(pos)
+        nxt = game.successors(pos)
         if game.owner(pos) == winner:
-            nxt = None
-            for mk, q in opts:
-                if value(q) == winner:
-                    moves[game.pos_key(pos)] = mk
-                    nxt = [q]
-                    break
-            if nxt is None:
+            q = next((q for q in nxt if value(q) == winner), None)
+            if q is None:
                 raise AssertionError(
                     f"no winning move at a {winner}-won position"
                 )
-        else:
-            nxt = [q for _, q in opts]
+            moves[game.pos_key(pos)] = game.move_key(pos, q)
+            nxt = [q]
         for q in nxt:
             qkey = game.memo_key(q)
             if qkey not in seen:
                 seen.add(qkey)
                 todo.append(q)
     return StrategyCertificate(game.game_id, game.k, winner, moves)
+
+
+def least_winning_k(g, solve: Callable[[int], GameResult]) -> int:
+    """Least ``k`` in ``0 .. g.n`` at which ``solve(k)`` is a cops win."""
+    for k in range(g.n + 1):
+        if solve(k).winner == COPS:
+            return k
+    raise AssertionError("cops always win once k covers every vertex")
 
 
 def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
@@ -353,10 +362,6 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
 # JSON encoding of certificates
 
 
-def _verts(x) -> list[int]:
-    return list(x)
-
-
 def _pos_to_json(game_id: str, key, entry_ids) -> dict:
     if game_id in ("ent", "et", "entv"):
         if key == ("init",):
@@ -364,13 +369,13 @@ def _pos_to_json(game_id: str, key, entry_ids) -> dict:
         v, cops_t, vir_t, turn = key
         return {
             "vertex": v,
-            "cops": _verts(cops_t),
-            "virtual": _verts(vir_t),
+            "cops": list(cops_t),
+            "virtual": list(vir_t),
             "turn": turn,
         }
     if game_id == "rank":
         verts, turn, n = key
-        return {"vertices": _verts(verts), "turn": turn, "counter": n}
+        return {"vertices": list(verts), "turn": turn, "counter": n}
     if game_id == "comeback":
         return {"ref": entry_ids[key]}
     raise ValueError(f"unknown game id {game_id!r}")
@@ -379,7 +384,7 @@ def _pos_to_json(game_id: str, key, entry_ids) -> dict:
 def _move_to_json(game_id: str, mk, entry_ids) -> dict:
     tag = mk[0]
     if tag == "enter":
-        return {"enter": _verts(mk[1])}
+        return {"enter": list(mk[1])}
     if tag == "remove":
         return {"remove": mk[1]}
     if tag == "comeback":
@@ -389,7 +394,7 @@ def _move_to_json(game_id: str, mk, entry_ids) -> dict:
     if tag == "to":
         return {"to": mk[1]}
     if tag == "occupy":
-        return {"cops": _verts(mk[1]), "virtual": _verts(mk[2])}
+        return {"cops": list(mk[1]), "virtual": list(mk[2])}
     raise ValueError(f"unknown move key {mk!r}")
 
 
@@ -403,7 +408,7 @@ def _collect_entry(key, ids: dict, table: list) -> int:
     ids[key] = i
     table.append(
         {
-            "vertices": _verts(verts),
+            "vertices": list(verts),
             "turn": turn,
             "counter": n,
             "comebacks": child_ids,
@@ -439,49 +444,92 @@ def certificate_to_json(cert: StrategyCertificate) -> dict:
     return obj
 
 
+def _field(obj, name: str, kind: type):
+    """``obj[name]``, which must be a ``kind``; else a ValueError naming it."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"certificate JSON lacks the field {name!r}")
+    value = obj[name]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"certificate JSON field {name!r} is not a {kind.__name__}: {value!r}"
+        )
+    return value
+
+
+def _vertices_field(obj, name: str) -> tuple[int, ...]:
+    value = _field(obj, name, list)
+    if not all(isinstance(v, int) for v in value):
+        raise ValueError(
+            f"certificate JSON field {name!r} is not a vertex list: {value!r}"
+        )
+    return tuple(value)
+
+
+def _entry(entry_keys: list, i, name: str):
+    if not isinstance(i, int) or not 0 <= i < len(entry_keys):
+        raise ValueError(f"certificate JSON field {name!r} names no table entry: {i!r}")
+    return entry_keys[i]
+
+
 def _pos_from_json(game_id: str, obj: dict, entry_keys):
     if game_id in ("ent", "et", "entv"):
         if obj.get("init"):
             return ("init",)
         return (
-            obj["vertex"],
-            tuple(obj["cops"]),
-            tuple(obj["virtual"]),
-            obj["turn"],
+            _field(obj, "vertex", int),
+            _vertices_field(obj, "cops"),
+            _vertices_field(obj, "virtual"),
+            _field(obj, "turn", str),
         )
     if game_id == "rank":
-        return (tuple(obj["vertices"]), obj["turn"], obj["counter"])
+        return (
+            _vertices_field(obj, "vertices"),
+            _field(obj, "turn", str),
+            _field(obj, "counter", int),
+        )
     if game_id == "comeback":
-        return entry_keys[obj["ref"]]
+        return _entry(entry_keys, _field(obj, "ref", int), "ref")
     raise ValueError(f"unknown game id {game_id!r}")
 
 
 def _move_from_json(game_id: str, obj: dict, entry_keys):
     if "enter" in obj:
-        return ("enter", tuple(obj["enter"]))
+        return ("enter", _vertices_field(obj, "enter"))
     if "remove" in obj:
-        return ("remove", obj["remove"])
+        return ("remove", _field(obj, "remove", int))
     if "comeback" in obj:
-        return ("comeback", entry_keys[obj["comeback"]["ref"]])
+        ref = _field(_field(obj, "comeback", dict), "ref", int)
+        return ("comeback", _entry(entry_keys, ref, "ref"))
     if "choose" in obj:
-        return ("start", obj["choose"])
+        return ("start", _field(obj, "choose", int))
     if "to" in obj:
-        return ("to", obj["to"])
+        return ("to", _field(obj, "to", int))
     if "cops" in obj:
-        return ("occupy", tuple(obj["cops"]), tuple(obj["virtual"]))
+        return ("occupy", _vertices_field(obj, "cops"), _vertices_field(obj, "virtual"))
     raise ValueError(f"cannot decode move {obj!r}")
 
 
 def certificate_from_json(obj: dict) -> StrategyCertificate:
-    game_id = obj["game"]
+    """Decode :func:`certificate_to_json` output.
+
+    Malformed input raises ``ValueError`` naming the offending field.
+    """
+    game_id = _field(obj, "game", str)
     entry_keys: list = []
-    for row in obj.get("table", ()):
-        children = tuple(sorted(entry_keys[i] for i in row["comebacks"]))
-        entry_keys.append(
-            (tuple(row["vertices"]), row["turn"], row["counter"], children)
-        )
+    for row in _field(obj, "table", list) if "table" in obj else ():
+        children = tuple(sorted(
+            _entry(entry_keys, i, "comebacks") for i in _field(row, "comebacks", list)
+        ))
+        entry_keys.append((
+            _vertices_field(row, "vertices"),
+            _field(row, "turn", str),
+            _field(row, "counter", int),
+            children,
+        ))
     moves = {}
-    for entry in obj["moves"]:
-        key = _pos_from_json(game_id, entry["position"], entry_keys)
-        moves[key] = _move_from_json(game_id, entry["move"], entry_keys)
-    return StrategyCertificate(game_id, obj["k"], obj["winner"], moves)
+    for entry in _field(obj, "moves", list):
+        key = _pos_from_json(game_id, _field(entry, "position", dict), entry_keys)
+        moves[key] = _move_from_json(game_id, _field(entry, "move", dict), entry_keys)
+    return StrategyCertificate(
+        game_id, _field(obj, "k", int), _field(obj, "winner", str), moves
+    )

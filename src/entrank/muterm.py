@@ -219,7 +219,12 @@ class _Parser:
 def parse(text: str, signature: dict[str, int] | None = None) -> Term:
     """Parse ``text``; validate operator arities against ``signature`` if given."""
     p = _Parser(text, signature)
-    t = p.term()
+    try:
+        t = p.term()
+    except RecursionError:
+        # the parser takes three frames per nesting level, the walks over
+        # terms at most that many, so a term that parses can be walked
+        raise ParseError("term nested too deeply", p.peek()[2]) from None
     kind, word, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input starting with {word!r}", pos)

@@ -17,12 +17,13 @@ backward induction.
 
 from __future__ import annotations
 
-from .digraph import Digraph, SccDecomposition, iter_mask, scc_decompose
+from .digraph import Digraph, iter_mask, scc_decompose, scc_memo
 from .gamecore import (
     COPS,
     THIEF,
     ArenaCeilingError,
     GameResult,
+    least_winning_k,
     solve_finite_game,
 )
 
@@ -39,27 +40,23 @@ __all__ = [
 
 
 class _RankMemo:
-    """Rank recursion memoized on vertex-subset bitmasks."""
+    """Rank recursion memoized on vertex-subset bitmasks.
 
-    __slots__ = ("g", "values", "sccs")
+    Each mask is decomposed once, on its way into ``values``, so no
+    decomposition is kept.
+    """
+
+    __slots__ = ("g", "values")
 
     def __init__(self, g: Digraph):
         self.g = g
         self.values: dict[int, int] = {0: 0}
-        self.sccs: dict[int, SccDecomposition] = {}
-
-    def decompose(self, mask: int) -> SccDecomposition:
-        d = self.sccs.get(mask)
-        if d is None:
-            d = self.sccs[mask] = scc_decompose(self.g, mask)
-        return d
 
     def rank(self, mask: int) -> int:
         r = self.values.get(mask)
         if r is not None:
             return r
-        d = self.decompose(mask)
-        masks = d.nontrivial_masks
+        masks = scc_decompose(self.g, mask).nontrivial_masks
         if not masks:
             r = 0
         elif len(masks) == 1 and masks[0] == mask:
@@ -94,13 +91,7 @@ class RankShrinkGame:
             raise ValueError("budget k must be >= 0")
         self.g = g
         self.k = k
-        self._sccs: dict[int, SccDecomposition] = {}
-
-    def _decompose(self, mask: int) -> SccDecomposition:
-        d = self._sccs.get(mask)
-        if d is None:
-            d = self._sccs[mask] = scc_decompose(self.g, mask)
-        return d
+        self.decompose = scc_memo(g)
 
     def initial_position(self):
         return (self.g.full_mask, THIEF, self.k)
@@ -112,26 +103,25 @@ class RankShrinkGame:
         mask, turn, n = pos
         if turn != THIEF:
             return None
-        if not self._decompose(mask).nontrivial:
+        if not self.decompose(mask).nontrivial:
             return COPS
         if n == 0:
             return THIEF
         return None
 
-    def moves(self, pos):
+    def successors(self, pos):
         mask, turn, n = pos
-        out = []
         if turn == THIEF:
-            for cmask in self._decompose(mask).nontrivial_masks:
-                out.append(
-                    (("enter", tuple(iter_mask(cmask))), (cmask, COPS, n))
-                )
-        else:
-            for v in iter_mask(mask):
-                out.append(
-                    (("remove", v), (mask & ~(1 << v), THIEF, n - 1))
-                )
-        return out
+            return [(cmask, COPS, n) for cmask in self.decompose(mask).nontrivial_masks]
+        return [(mask & ~(1 << v), THIEF, n - 1) for v in iter_mask(mask)]
+
+    def move_key(self, src, dst):
+        if src[1] == THIEF:
+            return ("enter", tuple(iter_mask(dst[0])))
+        return ("remove", (src[0] & ~dst[0]).bit_length() - 1)
+
+    def moves(self, pos):
+        return [(self.move_key(pos, q), q) for q in self.successors(pos)]
 
     def pos_key(self, pos):
         mask, turn, n = pos
@@ -148,10 +138,7 @@ def solve_rank_game(g: Digraph, k: int) -> GameResult:
 
 def rank_via_game(g: Digraph) -> int:
     """Least budget with which the cops win the shrinking game."""
-    for k in range(g.n + 1):
-        if solve_rank_game(g, k).winner == COPS:
-            return k
-    raise AssertionError("cops always win once the budget covers every vertex")
+    return least_winning_k(g, lambda k: solve_rank_game(g, k))
 
 
 class CPos:
@@ -211,7 +198,7 @@ class ComebackGame:
         self.k = k
         self.ceiling = self.DEFAULT_CEILING if ceiling is None else ceiling
         self._intern: dict = {}
-        self._sccs: dict[int, SccDecomposition] = {}
+        self.decompose = scc_memo(g)
         self._keys: dict[int, tuple] = {}
         self._init = self._pos(g.full_mask, THIEF, (), k)
 
@@ -225,12 +212,6 @@ class ComebackGame:
             self._intern[key] = p
         return p
 
-    def _decompose(self, mask: int) -> SccDecomposition:
-        d = self._sccs.get(mask)
-        if d is None:
-            d = self._sccs[mask] = scc_decompose(self.g, mask)
-        return d
-
     def initial_position(self) -> CPos:
         return self._init
 
@@ -240,37 +221,45 @@ class ComebackGame:
     def winner_if_terminal(self, pos: CPos) -> str | None:
         if pos.turn != THIEF:
             return None
-        if not self._decompose(pos.mask).nontrivial:
+        if not self.decompose(pos.mask).nontrivial:
             return COPS if not pos.entries else None
         if pos.n == 0:
             return THIEF
         return None
 
-    def moves(self, pos: CPos):
+    def successors(self, pos: CPos) -> list[CPos]:
+        if pos.turn != THIEF:
+            return [
+                self._pos(pos.mask & ~(1 << v), THIEF, pos.entries, pos.n - 1)
+                for v in iter_mask(pos.mask)
+            ]
         out = []
-        if pos.turn == THIEF:
-            d = self._decompose(pos.mask)
-            if d.nontrivial and pos.n > 0:
-                for i in sorted(d.nontrivial):
-                    cmask = d.component_masks[i]
-                    recorded = [
-                        self._pos(d.component_masks[j], COPS, pos.entries, pos.n)
-                        for j in d.ahead_of(i)
-                    ]
-                    merged = sorted(
-                        set(pos.entries).union(recorded), key=lambda e: e.uid
-                    )
-                    target = self._pos(cmask, COPS, tuple(merged), pos.n)
-                    out.append((("enter", tuple(iter_mask(cmask))), target))
-            for b in pos.entries:
-                out.append((("comeback", self.pos_key(b)), b))
-        else:
-            for v in iter_mask(pos.mask):
-                nxt = self._pos(
-                    pos.mask & ~(1 << v), THIEF, pos.entries, pos.n - 1
+        d = self.decompose(pos.mask)
+        if d.nontrivial and pos.n > 0:
+            for i in sorted(d.nontrivial):
+                recorded = [
+                    self._pos(d.component_masks[j], COPS, pos.entries, pos.n)
+                    for j in d.ahead_of(i)
+                ]
+                merged = sorted(
+                    set(pos.entries).union(recorded), key=lambda e: e.uid
                 )
-                out.append((("remove", v), nxt))
+                out.append(self._pos(d.component_masks[i], COPS, tuple(merged), pos.n))
+        out.extend(pos.entries)
         return out
+
+    def move_key(self, src: CPos, dst: CPos):
+        if src.turn != THIEF:
+            return ("remove", (src.mask & ~dst.mask).bit_length() - 1)
+        # an entered position's collection holds all of ``src.entries``
+        # and no position is in its own collection, so an entered
+        # position is never one of ``src.entries``
+        if dst in src.entries:
+            return ("comeback", self.pos_key(dst))
+        return ("enter", tuple(iter_mask(dst.mask)))
+
+    def moves(self, pos: CPos):
+        return [(self.move_key(pos, q), q) for q in self.successors(pos)]
 
     def pos_key(self, pos: CPos):
         k = self._keys.get(pos.uid)
@@ -296,7 +285,4 @@ def solve_comeback_game(g: Digraph, k: int, ceiling: int | None = None) -> GameR
 
 def comeback_min_k(g: Digraph, ceiling: int | None = None) -> int:
     """Least budget with which the cops win the comeback game."""
-    for k in range(g.n + 1):
-        if solve_comeback_game(g, k, ceiling=ceiling).winner == COPS:
-            return k
-    raise AssertionError("cops always win once the budget covers every vertex")
+    return least_winning_k(g, lambda k: solve_comeback_game(g, k, ceiling=ceiling))

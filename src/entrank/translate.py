@@ -45,7 +45,8 @@ belongs to ``verify_certificate``.
 
 from __future__ import annotations
 
-from .digraph import Digraph, SccDecomposition, iter_mask, scc_decompose
+from .digraph import Digraph
+from .entgames import PursuitGame
 from .gamecore import COPS, THIEF, StrategyCertificate
 from .rank import ComebackGame, CPos
 
@@ -94,20 +95,13 @@ def translate_rank_strategy(g: Digraph, cert: StrategyCertificate,
 
 class _Translator:
     def __init__(self, g: Digraph, cert: StrategyCertificate, node_limit: int):
-        self.g = g
         self.k = cert.k
         self.cert = cert
         self.node_limit = node_limit
         self.game = ComebackGame(g, cert.k)
+        self.pursuit = PursuitGame(g, cert.k, "entv")
         self.full = g.full_mask
-        self._sccs: dict[int, SccDecomposition] = {}
         self.out: dict = {}
-
-    def _decompose(self, mask: int) -> SccDecomposition:
-        d = self._sccs.get(mask)
-        if d is None:
-            d = self._sccs[mask] = scc_decompose(self.g, mask)
-        return d
 
     def _removal_at(self, target: CPos) -> int:
         """The certificate's deletion at a cops-turn comeback position."""
@@ -127,8 +121,8 @@ class _Translator:
         raise TranslationError(f"move {wanted!r} is not available at {pos!r}")
 
     def run(self) -> StrategyCertificate:
-        g = self.g
-        todo = [((v, 0, 0, COPS), ()) for v in g.vertices()]
+        pursuit = self.pursuit
+        todo = [(q, ()) for q in pursuit.successors(pursuit.initial_position())]
         seen = set()
         while todo:
             pos, frames = todo.pop()
@@ -141,8 +135,9 @@ class _Translator:
             v, cmask, vmask, turn = pos
             if turn == COPS:
                 c2, v2, frames2 = self._respond(v, cmask, vmask, frames)
-                key = (v, tuple(iter_mask(cmask)), tuple(iter_mask(vmask)), COPS)
-                move = ("occupy", tuple(iter_mask(c2)), tuple(iter_mask(v2)))
+                nxt = (v, c2, v2, THIEF)
+                key = pursuit.pos_key(pos)
+                move = pursuit.move_key(pos, nxt)
                 old = self.out.get(key)
                 if old is None:
                     self.out[key] = move
@@ -150,11 +145,9 @@ class _Translator:
                     raise TranslationError(
                         f"conflicting decisions at position {key!r}: {old!r} vs {move!r}"
                     )
-                todo.append(((v, c2, v2, THIEF), frames2))
+                todo.append((nxt, frames2))
             else:
-                for w in g.successors(v):
-                    if not (cmask >> w) & 1:
-                        todo.append(((w, cmask, vmask, COPS), frames))
+                todo.extend((q, frames) for q in pursuit.successors(pos))
         return StrategyCertificate("entv", self.k, COPS, self.out)
 
     def _respond(self, v: int, cmask: int, vmask: int, frames: tuple[_Frame, ...]):
@@ -165,7 +158,7 @@ class _Translator:
             return cmask | vb, vmask & ~vb, frames
 
         free = self.full & ~(cmask | vmask)
-        dfree = self._decompose(free)
+        dfree = self.game.decompose(free)
         i = dfree.scc_of[v]
         if i not in dfree.nontrivial:
             return cmask, vmask, frames  # skip while the thief drifts
@@ -176,7 +169,7 @@ class _Translator:
             m -= 1
         parent = frames[m].match if m >= 0 else self.game.initial_position()
 
-        dm = self._decompose(parent.mask)
+        dm = self.game.decompose(parent.mask)
         j = dm.scc_of[v]
         if j not in dm.nontrivial:
             raise TranslationError(

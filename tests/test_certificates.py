@@ -108,3 +108,24 @@ def test_overclaiming_winner_fails_replay():
     lie = StrategyCertificate("ent", 1, COPS, {})
     rep = verify_certificate(g, "ent", 1, lie)
     assert not rep.ok
+
+
+@pytest.mark.parametrize(
+    "game_id, mutate, field",
+    [
+        ("ent", lambda o: o.clear(), "game"),
+        ("ent", lambda o: o.pop("moves"), "moves"),
+        ("ent", lambda o: o["moves"][0]["position"].pop("cops"), "cops"),
+        ("ent", lambda o: o["moves"][0]["position"].update(cops=5), "cops"),
+        ("comeback", lambda o: o["moves"][0]["position"].update(ref=99), "ref"),
+        ("comeback", lambda o: o["table"][0]["comebacks"].append(99), "comebacks"),
+    ],
+    ids=["empty", "no-moves", "no-cops", "cops-not-a-list", "ref-out-of-range",
+         "comebacks-out-of-range"],
+)
+def test_malformed_json_names_the_field(game_id, mutate, field):
+    g = dg(3, dicycle_edges(3))
+    obj = certificate_to_json(_solve(g, game_id, 1).certificate)
+    mutate(obj)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        certificate_from_json(obj)

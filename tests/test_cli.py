@@ -198,6 +198,9 @@ def test_muterm_analyze_errors(run, tmp_path):
     assert rc == 2 and "cannot parse" in err
     rc, _, err = run("muterm", "analyze", str(tmp_path / "missing.term"))
     assert rc == 2 and "cannot read" in err
+    bad.write_text("g(" * 3000 + "x" + ")" * 3000)
+    rc, _, err = run("muterm", "analyze", str(bad))
+    assert rc == 2 and "nested too deeply" in err
 
 
 def test_translate_roundtrip(run, dicycle_file, tmp_path):

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import clique_edges, dicycle_edges, random_edges, upath_edges
-from entrank.digraph import (
-    Digraph,
-    induced_subgraph,
-    iter_mask,
-    mask_of,
-    reachable_sccs,
-    remove_vertex,
-    scc_decompose,
-)
+from entrank.digraph import Digraph, iter_mask, mask_of, scc_decompose
 from oracles import nontrivial_sccs, reach_sets, scc_classes
 
 graphs = st.integers(0, 6).flatmap(
@@ -57,21 +49,20 @@ def test_empty_graph():
 
 def test_remove_vertex_renumbers():
     g = Digraph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 3)])
-    h = remove_vertex(g, 0)  # 1,2,3 become 0,1,2
+    h = g.remove_vertex(0)  # 1,2,3 become 0,1,2
     assert h.n == 3
     assert sorted(h.edges) == [(0, 1), (2, 2)]
-    assert g.remove_vertex(0).edges == h.edges
     with pytest.raises(ValueError):
         g.remove_vertex(4)
 
 
 def test_induced_subgraph_renumbers():
     g = Digraph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 3)])
-    sub = induced_subgraph(g, [1, 2, 3])  # kept vertices renumbered 0,1,2
+    sub = g.induced_subgraph([1, 2, 3])  # kept vertices renumbered 0,1,2
     assert sub.n == 3
     assert sorted(sub.edges) == [(0, 1), (2, 2)]
     assert g.induced_subgraph([1, 3, 2]).edges == sub.edges
-    assert induced_subgraph(g, []).n == 0
+    assert g.induced_subgraph([]).n == 0
 
 
 def test_mask_roundtrip():
@@ -94,7 +85,7 @@ def test_scc_decompose_matches_oracle(ne):
         assert d.component_masks[i] == mask_of(comp)
         for v in comp:
             assert d.scc_of[v] == i
-            assert d.component_of(v) == comp
+            assert d.components[d.scc_of[v]] == comp
 
 
 @settings(max_examples=120, deadline=None)
@@ -117,16 +108,6 @@ def test_scc_on_mask_restricts():
     d = scc_decompose(g, mask_of([0, 1, 2]))  # cycle broken by dropping 3
     assert d.nontrivial == frozenset()
     assert all(len(c) == 1 for c in d.components)
-
-
-def test_reachable_sccs():
-    # two 2-cycles joined by a bridge 1 -> 2
-    g = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
-    d = scc_decompose(g)
-    assert reachable_sccs(g, d, [0, 1]) == {frozenset({2, 3})}
-    assert reachable_sccs(g, d, [2, 3]) == set()
-    with pytest.raises(ValueError):
-        reachable_sccs(g, d, [0])  # not a whole component
 
 
 def test_family_shapes():
