@@ -64,14 +64,14 @@ def cmd_measure(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     want_rank = args.rank or args.all or not (args.rank or args.ent)
     want_ent = args.ent or args.all or not (args.rank or args.ent)
-    if want_rank:
-        print(f"rank: {rank(g)}")
-    if want_ent:
-        try:
+    try:
+        if want_rank:
+            print(f"rank: {rank(g)}")
+        if want_ent:
             print(f"entanglement: {entanglement(g)}")
-        except ArenaCeilingError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+    except ArenaCeilingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 
@@ -120,12 +120,16 @@ def _verify_corpus(args: argparse.Namespace):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     corpus = _verify_corpus(args)
-    if args.suite == "theorem":
-        report = run_theorem_suite(
-            corpus, translate=args.translate, jobs=args.jobs, ceiling=args.ceiling
-        )
-    else:
-        report = run_equivalence_suite(corpus, jobs=args.jobs, ceiling=args.ceiling)
+    try:
+        if args.suite == "theorem":
+            report = run_theorem_suite(
+                corpus, translate=args.translate, jobs=args.jobs, ceiling=args.ceiling
+            )
+        else:
+            report = run_equivalence_suite(corpus, jobs=args.jobs, ceiling=args.ceiling)
+    except ArenaCeilingError as exc:  # the suites skip only game ceilings, not rank's
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     human_out = sys.stdout
     if args.json is not None:
         text = report.to_json()
@@ -179,14 +183,22 @@ def cmd_muterm(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: cannot parse {args.term!r}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(json.dumps(analyze(term), indent=2, sort_keys=True))
+    try:
+        measures = analyze(term)
+    except ArenaCeilingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    print(json.dumps(measures, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    k = args.k if args.k is not None else rank(g)
     try:
+        k = args.k if args.k is not None else rank(g)
+        # the translated pursuit game has at most one cop per vertex
+        if not 0 <= k <= g.n:
+            raise ValueError(f"budget k={k} must satisfy 0 <= k <= {g.n}, the vertex count")
         res = solve_comeback_game(g, k)
     except (ArenaCeilingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

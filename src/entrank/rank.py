@@ -5,6 +5,20 @@ structure: an acyclic graph has rank 0; a strongly connected graph with
 at least one edge has rank ``1 + min`` over single-vertex deletions;
 anything else has the maximum rank of its nontrivial components.
 
+:func:`rank` evaluates that recursion on vertex-subset bitmasks.  Each
+vertex gets a successor and a predecessor bitmask once per call; the
+strongly connected component of the lowest live vertex is its forward
+closure intersected with its backward closure, and components are
+peeled off one at a time.  The recursion is a branch and bound: a call
+with a cap returns the exact rank when it is below the cap and a lower
+bound at or above the cap otherwise.  Several components stop at the
+first one that reaches the cap.  A strongly connected graph asks each
+deletion only whether it beats the best found so far, and stops once
+the best meets its lower bound: at least 1, and at least the rank of
+any deletion, since rank never grows when a vertex is deleted.  Exact
+values and lower bounds are memoised apart, and the memo is capped by a
+ceiling (:class:`ArenaCeilingError` past it).
+
 Two games compute the same number.  In the plain shrinking game the
 thief repeatedly enters a nontrivial component and the cops delete one
 of its vertices, spending one unit of a budget of ``k``; the cops win
@@ -17,7 +31,9 @@ backward induction.
 
 from __future__ import annotations
 
-from .digraph import Digraph, iter_mask, scc_decompose, scc_memo
+from typing import Iterator
+
+from .digraph import Digraph, iter_mask, mask_of, scc_memo
 from .gamecore import (
     COPS,
     THIEF,
@@ -29,6 +45,7 @@ from .gamecore import (
 
 __all__ = [
     "rank",
+    "DEFAULT_RANK_CEILING",
     "RankShrinkGame",
     "solve_rank_game",
     "rank_via_game",
@@ -38,39 +55,115 @@ __all__ = [
     "comeback_min_k",
 ]
 
+#: default cap on the entries (exact values plus lower bounds) of the
+#: rank memo; ``clique-16`` needs about 66k
+DEFAULT_RANK_CEILING = 1_000_000
+
+
+def _closure(v: int, adj: list[int], within: int) -> int:
+    """Vertices of ``within`` reachable from ``v`` along ``adj`` masks."""
+    todo = 1 << v
+    left = within & ~todo
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = adj[low.bit_length() - 1] & left
+        left ^= new
+        todo |= new
+    return within & ~left
+
 
 class _RankMemo:
-    """Rank recursion memoized on vertex-subset bitmasks.
+    """Branch-and-bound rank recursion memoised on vertex bitmasks.
 
-    Each mask is decomposed once, on its way into ``values``, so no
-    decomposition is kept.
+    ``succ[v]`` and ``pred[v]`` are the successor and predecessor masks
+    of ``v``.  ``exact`` maps a mask to its rank; ``lower`` maps a mask
+    whose rank is not known to the best lower bound proven for it.  The
+    two together may hold at most ``ceiling`` entries.
     """
 
-    __slots__ = ("g", "values")
+    __slots__ = ("succ", "pred", "exact", "lower", "ceiling")
 
-    def __init__(self, g: Digraph):
-        self.g = g
-        self.values: dict[int, int] = {0: 0}
+    def __init__(self, g: Digraph, ceiling: int):
+        self.succ = [mask_of(g.successors(v)) for v in g.vertices()]
+        self.pred = [mask_of(g.predecessors(v)) for v in g.vertices()]
+        self.exact: dict[int, int] = {0: 0}
+        self.lower: dict[int, int] = {}
+        self.ceiling = ceiling
 
-    def rank(self, mask: int) -> int:
-        r = self.values.get(mask)
+    def nontrivial_components(self, mask: int) -> Iterator[int]:
+        """Masks of the nontrivial strongly connected components of ``mask``.
+
+        The component of the lowest live vertex is its forward closure
+        cut down to the vertices that reach back; components are peeled
+        off one at a time, as the caller asks for them.
+        """
+        succ, pred = self.succ, self.pred
+        rest = mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            comp = _closure(v, pred, _closure(v, succ, rest))
+            rest ^= comp
+            if comp != low or succ[v] & low:
+                yield comp
+
+    def _remember(self, mask: int, value: int, cap: int) -> int:
+        """Memoise ``value`` as exact when below ``cap``, else as a lower bound."""
+        if value < cap:
+            self.lower.pop(mask, None)
+            table = self.exact
+        else:
+            table = self.lower
+        if mask not in table and len(self.exact) + len(self.lower) >= self.ceiling:
+            raise ArenaCeilingError("rank", self.ceiling)
+        table[mask] = value
+        return value
+
+    def solve(self, mask: int, cap: int) -> int:
+        """Rank of ``mask`` if it is below ``cap``, else a lower bound >= ``cap``."""
+        r = self.exact.get(mask)
         if r is not None:
             return r
-        masks = scc_decompose(self.g, mask).nontrivial_masks
-        if not masks:
-            r = 0
-        elif len(masks) == 1 and masks[0] == mask:
-            # the live subgraph is one nontrivial strongly connected piece
-            r = 1 + min(self.rank(mask & ~(1 << v)) for v in iter_mask(mask))
+        known = self.lower.get(mask, 0)
+        if known >= cap:
+            return known
+        best = 0
+        for comp in self.nontrivial_components(mask):
+            if comp == mask:
+                break
+            r = self.solve(comp, cap)
+            if r >= cap:
+                return self._remember(mask, r, cap)
+            if r > best:
+                best = r
         else:
-            r = max(self.rank(m) for m in masks)
-        self.values[mask] = r
-        return r
+            return self._remember(mask, best, cap)
+        # One nontrivial strongly connected piece: rank = 1 + min over
+        # deletions, at least 1, and at least the rank of any deletion.
+        # ``best`` stays exact below ``cap``; a deletion is only asked
+        # whether it beats ``best``.
+        floor = max(known, 1)
+        best = cap
+        for v in iter_mask(mask):
+            if best <= floor:
+                break
+            r = self.solve(mask ^ (1 << v), best - 1)
+            if r > floor:
+                floor = r
+            if r < best - 1:
+                best = r + 1
+        return self._remember(mask, max(best, floor), cap)
 
 
-def rank(g: Digraph) -> int:
-    """Exact rank of ``g``."""
-    return _RankMemo(g).rank(g.full_mask)
+def rank(g: Digraph, ceiling: int | None = None) -> int:
+    """Exact rank of ``g``.
+
+    Raises :class:`ArenaCeilingError` when the memo would hold more than
+    ``ceiling`` masks (default :data:`DEFAULT_RANK_CEILING`).
+    """
+    limit = DEFAULT_RANK_CEILING if ceiling is None else ceiling
+    return _RankMemo(g, limit).solve(g.full_mask, g.n + 1)
 
 
 class RankShrinkGame:

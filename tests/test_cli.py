@@ -1,6 +1,7 @@
 """Command-line interface, driven in-process through cli.main(), plus the
 console script started in a fresh process."""
 
+import importlib
 import importlib.metadata
 import json
 import os
@@ -221,6 +222,37 @@ def test_translate_at_losing_budget(run, dicycle_file):
 def test_translate_bad_budget(run, dicycle_file):
     rc, _, err = run("translate", dicycle_file, "-k", "-2")
     assert rc == 2 and "budget" in err
+
+
+def test_translate_budget_above_vertex_count(run, tmp_path):
+    p = tmp_path / "dicycle5.txt"
+    p.write_text("5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    rc, out, err = run("translate", str(p), "-k", "9")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "budget k=9" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def tiny_rank_ceiling(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("entrank.rank"), "DEFAULT_RANK_CEILING", 1)
+
+
+def test_rank_ceiling_exits_2(run, dicycle_file, tiny_rank_ceiling):
+    for argv in (("measure",), ("measure", "--rank"), ("translate",),
+                 ("verify", "theorem"), ("verify", "equiv")):
+        rc, out, err = run(*argv, dicycle_file)
+        assert rc == 2 and out == ""
+        assert err == "error: rank arena exceeded the position ceiling of 1\n"
+    rc, out, _ = run("measure", dicycle_file, "--ent")
+    assert rc == 0 and out == "entanglement: 1\n"
+
+
+def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):
+    term = tmp_path / "t.term"
+    term.write_text("mu x. f(x, nu y. g(y))\n")
+    rc, out, err = run("muterm", "analyze", str(term))
+    assert rc == 2 and out == ""
+    assert err == "error: rank arena exceeded the position ceiling of 1\n"
 
 
 def test_argparse_usage_errors_exit_2(run):

@@ -1,11 +1,14 @@
-"""Recursive rank computation against the brute-force oracle."""
+"""Branch-and-bound rank computation against the brute-force oracle."""
 
+import importlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrank.digraph import Digraph
+from entrank.digraph import Digraph, iter_mask
+from entrank.gamecore import ArenaCeilingError
+from entrank.muterm import parse, term_graph
 from entrank.rank import rank
 
 from conftest import (
@@ -42,12 +45,12 @@ def test_undirected_path_log_law():
     for n in range(1, 9):
         assert rank(dg(n, upath_edges(n))) == UPATH_RANKS[n - 1]
     # the general law: floor(log2(n))
-    for n in range(1, 20):
+    for n in range(1, 41):
         assert rank(dg(n, upath_edges(n))) == n.bit_length() - 1
 
 
 def test_cliques():
-    for n in range(1, 6):
+    for n in range(1, 11):
         assert rank(dg(n, clique_edges(n))) == n - 1
 
 
@@ -72,11 +75,29 @@ def test_random_sweep_matches_oracle():
         assert rank(dg(n, edges)) == rank_value(n, tuple(edges))
 
 
+def test_nested_term_graph_has_rank_one():
+    # mu x. f(f(...f(x, x)..., x), x) with 12 nested f: 26 vertices, and
+    # deleting the binder leaves the graph acyclic
+    body = "x"
+    for _ in range(12):
+        body = f"f({body}, x)"
+    g = term_graph(parse(f"mu x. {body}"))
+    assert g.n == 26
+    assert rank(g) == 1
+
+
+def test_memo_ceiling():
+    with pytest.raises(ArenaCeilingError) as exc:
+        rank(dg(10, clique_edges(10)), ceiling=50)
+    assert exc.value.game_id == "rank" and exc.value.limit == 50
+    assert rank(dg(10, clique_edges(10)), ceiling=2000) == 9
+
+
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(0, 6))
+def small_graphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
     pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
-    edges = sorted(set(draw(st.lists(pairs, max_size=14)))) if n else []
+    edges = sorted(set(draw(st.lists(pairs, max_size=3 * n)))) if n else []
     return n, edges
 
 
@@ -87,7 +108,29 @@ def test_rank_matches_oracle_property(ne):
     assert rank(dg(n, edges)) == rank_value(n, tuple(edges))
 
 
-@given(small_graphs())
+@given(small_graphs(max_n=7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_capped_solve_and_memo_match_oracle(ne, data):
+    # solve(mask, cap) is exact below cap and a lower bound >= cap
+    # otherwise; every memo entry holds for the subgraph it names
+    n, edges = ne
+    g = dg(n, edges)
+    cap = data.draw(st.integers(1, n + 1))
+    memo = importlib.import_module("entrank.rank")._RankMemo(g, 10**6)
+    got = memo.solve(g.full_mask, cap)
+    want = rank_value(n, tuple(edges))
+    assert got == want if want < cap else cap <= got <= want
+
+    def oracle(mask):
+        sub = g.induced_subgraph(iter_mask(mask))
+        return rank_value(sub.n, tuple(sub.edges))
+
+    assert all(oracle(m) == r for m, r in memo.exact.items())
+    assert all(oracle(m) >= r for m, r in memo.lower.items())
+    assert not memo.exact.keys() & memo.lower.keys()
+
+
+@given(small_graphs(max_n=6))
 @settings(max_examples=60, deadline=None)
 def test_rank_monotone_under_subgraphs(ne):
     n, edges = ne
