@@ -76,6 +76,11 @@ class ArenaCeilingError(RuntimeError):
         self.game_id = game_id
         self.limit = limit
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not the message, so
+        # the error crosses a process-pool boundary intact
+        return (type(self), (self.game_id, self.limit))
+
 
 @dataclass(eq=False)
 class StrategyCertificate:

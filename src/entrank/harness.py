@@ -13,8 +13,9 @@ Two suites, both returning a :class:`VerificationReport`:
 
 Suites parallelise across graphs only (``jobs``); per-graph work is
 sequential and results are merged in corpus order, so reports are a
-deterministic function of the corpus spec.  Solver ceilings turn into
-*skips*, which are listed in the report rather than dropped; every
+deterministic function of the corpus spec.  ``ceiling`` caps every game
+arena's positions and the rank memo's entries; a tripped ceiling
+becomes a *skip*, listed in the report rather than dropped; every
 failure message embeds enough detail to replay it (the record carries
 the graph, the message carries ``k`` and the reason).
 
@@ -155,11 +156,22 @@ def _new_record(graph_id: str, n: int, edges: tuple[tuple[int, int], ...]) -> Re
     return ReportRecord(graph_id=graph_id, n=n, edges=[list(e) for e in edges])
 
 
+def _rank_or_skip(g: Digraph, rec: ReportRecord, ceiling: int | None) -> bool:
+    """Set ``rec.rank``; on a rank ceiling record a skip and return False."""
+    try:
+        rec.rank = rank(g, ceiling=ceiling)
+    except ArenaCeilingError as exc:
+        rec.skips.append(f"rank memo exceeded {exc.limit} entries")
+        return False
+    return True
+
+
 def _theorem_worker(task) -> ReportRecord:
     graph_id, n, edges, do_translate, ceiling = task
     g = Digraph(n, edges)
     rec = _new_record(graph_id, n, edges)
-    rec.rank = rank(g)
+    if not _rank_or_skip(g, rec, ceiling):
+        return rec
     try:
         rec.entanglement = rec.ent_k = entanglement(g, ceiling=ceiling)
     except ArenaCeilingError as exc:
@@ -204,7 +216,8 @@ def _equivalence_worker(task) -> ReportRecord:
     graph_id, n, edges, ceiling = task
     g = Digraph(n, edges)
     rec = _new_record(graph_id, n, edges)
-    rec.rank = rank(g)
+    if not _rank_or_skip(g, rec, ceiling):
+        return rec
 
     if n <= SHRINK_GAME_MAX_N:
         rec.shrink_game_k = rank_via_game(g)

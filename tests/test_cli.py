@@ -238,13 +238,23 @@ def tiny_rank_ceiling(monkeypatch):
 
 
 def test_rank_ceiling_exits_2(run, dicycle_file, tiny_rank_ceiling):
-    for argv in (("measure",), ("measure", "--rank"), ("translate",),
-                 ("verify", "theorem"), ("verify", "equiv")):
+    for argv in (("measure",), ("measure", "--rank"), ("translate",)):
         rc, out, err = run(*argv, dicycle_file)
         assert rc == 2 and out == ""
         assert err == "error: rank arena exceeded the position ceiling of 1\n"
     rc, out, _ = run("measure", dicycle_file, "--ent")
     assert rc == 0 and out == "entanglement: 1\n"
+
+
+@pytest.mark.parametrize("suite", ["theorem", "equiv"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_rank_ceiling_is_a_skip(run, dicycle_file, suite, jobs):
+    # --ceiling also caps the rank memo; in worker processes too, the
+    # ceiling becomes a per-graph skip rather than a lost report
+    rc, out, err = run("verify", suite, dicycle_file, "--ceiling", "1", "--jobs", jobs)
+    assert rc == 0 and "Traceback" not in err
+    assert "skip dicycle3.txt: rank memo exceeded 1 entries\n" in out
+    assert "(1 graphs, 0 violations, 1 skips," in out
 
 
 def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):

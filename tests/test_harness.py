@@ -65,6 +65,16 @@ def test_tiny_ceiling_reports_skips_not_failures():
     assert rep.records[0].skips
 
 
+def test_ceiling_caps_rank_memo_and_pursuit_arena():
+    # clique-5's rank memo holds 28 entries, its pursuit arena more
+    rec = run_theorem_suite("family:name=clique,size=5", ceiling=27).records[0]
+    assert rec.rank is None and rec.skips == ["rank memo exceeded 27 entries"]
+    rec = run_theorem_suite("family:name=clique,size=5", ceiling=28).records[0]
+    assert rec.rank == 4 and rec.skips == ["pursuit arena exceeded 28 positions"]
+    rec = run_equivalence_suite("family:name=clique,size=5", ceiling=27).records[0]
+    assert rec.rank is None and rec.skips == ["rank memo exceeded 27 entries"]
+
+
 def test_big_graphs_skip_game_cross_checks():
     big = [("big", dg(7, ucycle_edges(7)))]
     rep = run_equivalence_suite(big)
@@ -96,7 +106,7 @@ def test_parallel_equals_serial():
 
 def test_planted_violation_is_reported(monkeypatch):
     # force the rank engine to lie so the theorem check must fire
-    monkeypatch.setattr(harness, "rank", lambda g: -1)
+    monkeypatch.setattr(harness, "rank", lambda g, ceiling=None: -1)
     rep = run_theorem_suite([("seeded", dg(3, ucycle_edges(3)))], jobs=1)
     assert not rep.ok
     assert rep.violations == 1

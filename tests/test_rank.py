@@ -1,6 +1,7 @@
 """Branch-and-bound rank computation against the brute-force oracle."""
 
 import importlib
+import pickle
 import random
 
 import pytest
@@ -91,6 +92,13 @@ def test_memo_ceiling():
         rank(dg(10, clique_edges(10)), ceiling=50)
     assert exc.value.game_id == "rank" and exc.value.limit == 50
     assert rank(dg(10, clique_edges(10)), ceiling=2000) == 9
+
+
+def test_ceiling_error_pickles():
+    # a worker process sends the error back to its parent by pickling
+    exc = pickle.loads(pickle.dumps(ArenaCeilingError("rank", 50)))
+    assert (exc.game_id, exc.limit) == ("rank", 50)
+    assert str(exc) == "rank arena exceeded the position ceiling of 50"
 
 
 @st.composite
