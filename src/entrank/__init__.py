@@ -60,6 +60,7 @@ from .muterm import (
 )
 from .rank import (
     ComebackGame,
+    RankDepthError,
     RankShrinkGame,
     comeback_min_k,
     rank,
@@ -83,6 +84,7 @@ __all__ = [
     "save_edge_list",
     # rank and its games
     "rank",
+    "RankDepthError",
     "RankShrinkGame",
     "ComebackGame",
     "solve_rank_game",

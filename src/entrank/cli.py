@@ -37,7 +37,7 @@ from .gamecore import (
 from .graphio import GraphFormatError, load_graph, save_edge_list
 from .harness import VerificationReport, run_equivalence_suite, run_theorem_suite
 from .muterm import ParseError, analyze, parse as parse_term
-from .rank import rank, solve_comeback_game, solve_rank_game
+from .rank import RankDepthError, rank, solve_comeback_game, solve_rank_game
 from .translate import TranslationError, translate_rank_strategy
 
 __all__ = ["main", "build_parser"]
@@ -69,7 +69,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
             print(f"rank: {rank(g)}")
         if want_ent:
             print(f"entanglement: {entanglement(g)}")
-    except ArenaCeilingError as exc:
+    except (ArenaCeilingError, RankDepthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
@@ -181,7 +181,7 @@ def cmd_muterm(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     try:
         measures = analyze(term)
-    except ArenaCeilingError as exc:
+    except (ArenaCeilingError, RankDepthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(json.dumps(measures, indent=2, sort_keys=True))
@@ -196,7 +196,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         if not 0 <= k <= g.n:
             raise ValueError(f"budget k={k} must satisfy 0 <= k <= {g.n}, the vertex count")
         res = solve_comeback_game(g, k)
-    except (ArenaCeilingError, ValueError) as exc:
+    except (ArenaCeilingError, RankDepthError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if res.winner != COPS:

@@ -9,13 +9,17 @@ Two suites, both returning a :class:`VerificationReport`:
 * :func:`run_equivalence_suite` — per graph, checks that the rank
   recursion, the shrinking game, and the comeback game agree on the
   minimal cop count, and that the three pursuit variants have the same
-  winner at every ``k <= n``.
+  winner at every ``k <= n``.  Each variant is solved up to its least
+  winning ``k``; above it, its cops certificate from that ``k`` is
+  replayed with the larger budget, and solving resumes only if the
+  replay is rejected.
 
 Suites parallelise across graphs only (``jobs``); per-graph work is
 sequential and results are merged in corpus order, so reports are a
 deterministic function of the corpus spec.  ``ceiling`` caps every game
-arena's positions and the rank memo's entries; a tripped ceiling
-becomes a *skip*, listed in the report rather than dropped; every
+arena's positions and the rank memo's entries; a tripped ceiling, or
+a rank recursion past the interpreter's recursion limit, becomes a
+*skip*, listed in the report rather than dropped; every
 failure message embeds enough detail to replay it (the record carries
 the graph, the message carries ``k`` and the reason).
 
@@ -35,8 +39,14 @@ from typing import Sequence, Union
 from .corpus import CorpusSpec
 from .digraph import Digraph
 from .entgames import entanglement, solve_pursuit
-from .gamecore import COPS, ArenaCeilingError, verify_certificate
-from .rank import comeback_min_k, rank, rank_via_game, solve_comeback_game
+from .gamecore import COPS, ArenaCeilingError, StrategyCertificate, verify_certificate
+from .rank import (
+    RankDepthError,
+    comeback_min_k,
+    rank,
+    rank_via_game,
+    solve_comeback_game,
+)
 from .translate import TranslationError, translate_rank_strategy
 
 __all__ = [
@@ -157,11 +167,15 @@ def _new_record(graph_id: str, n: int, edges: tuple[tuple[int, int], ...]) -> Re
 
 
 def _rank_or_skip(g: Digraph, rec: ReportRecord, ceiling: int | None) -> bool:
-    """Set ``rec.rank``; on a rank ceiling record a skip and return False."""
+    """Set ``rec.rank``; on a rank ceiling or depth limit record a skip
+    and return False."""
     try:
         rec.rank = rank(g, ceiling=ceiling)
     except ArenaCeilingError as exc:
         rec.skips.append(f"rank memo exceeded {exc.limit} entries")
+        return False
+    except RankDepthError as exc:
+        rec.skips.append(str(exc))
         return False
     return True
 
@@ -249,26 +263,42 @@ def _equivalence_worker(task) -> ReportRecord:
 
 
 def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
-    """Solve all three pursuit variants at every ``k <= n``.
+    """Find the winner of all three pursuit variants at every ``k <= n``.
 
-    Winner agreement at each level is the strong form; the per-variant
-    minimal ``k`` values recorded on the way out follow from it.
+    Below a variant's least winning ``k`` every level is solved.  Above
+    it the cops certificate from that least ``k`` is replayed with its
+    budget raised to ``k``: extra cops never hurt, since thief moves
+    depend only on the cop mask and every cop move legal with ``k``
+    cops stays legal with more.  A replay that ``verify_certificate``
+    accepts proves a cops win without building the arena; a rejected
+    one falls back to solving.  Winner agreement at each level is the
+    strong form; the per-variant minimal ``k`` values recorded on the
+    way out follow from it.
     """
-    first_win = {"ent": None, "et": None, "entv": None}
+    lift: dict[str, StrategyCertificate] = {}  # cops certificate at the least k
     for k in range(g.n + 1):
         winners = {}
         for variant in ("ent", "et", "entv"):
+            cert = lift.get(variant)
+            if cert is not None and verify_certificate(
+                g, variant, k, StrategyCertificate(variant, k, COPS, cert.moves),
+                ceiling=ceiling,
+            ).ok:
+                winners[variant] = COPS
+                continue
             try:
-                winners[variant] = solve_pursuit(g, k, variant, ceiling=ceiling).winner
+                res = solve_pursuit(g, k, variant, ceiling=ceiling)
             except ArenaCeilingError as exc:
                 rec.skips.append(
                     f"{variant} arena exceeded {exc.limit} positions at k={k}"
                 )
-        for variant, w in winners.items():
-            if w == COPS and first_win[variant] is None:
-                first_win[variant] = k
+                continue
+            winners[variant] = res.winner
+            if res.winner == COPS:
+                lift.setdefault(variant, res.certificate)
         if len(set(winners.values())) > 1:
             rec.failures.append(f"variant winners disagree at k={k}: {winners}")
+    first_win = {v: lift[v].k if v in lift else None for v in ("ent", "et", "entv")}
     rec.ent_k = first_win["ent"]
     rec.et_k = first_win["et"]
     rec.entv_k = first_win["entv"]

@@ -46,6 +46,7 @@ from .gamecore import (
 __all__ = [
     "rank",
     "DEFAULT_RANK_CEILING",
+    "RankDepthError",
     "RankShrinkGame",
     "solve_rank_game",
     "rank_via_game",
@@ -71,6 +72,10 @@ def _closure(v: int, adj: list[int], within: int) -> int:
         left ^= new
         todo |= new
     return within & ~left
+
+
+class RankDepthError(RuntimeError):
+    """The rank recursion ran past the interpreter's recursion limit."""
 
 
 class _RankMemo:
@@ -160,10 +165,17 @@ def rank(g: Digraph, ceiling: int | None = None) -> int:
     """Exact rank of ``g``.
 
     Raises :class:`ArenaCeilingError` when the memo would hold more than
-    ``ceiling`` masks (default :data:`DEFAULT_RANK_CEILING`).
+    ``ceiling`` masks (default :data:`DEFAULT_RANK_CEILING`), and
+    :class:`RankDepthError` when the recursion, up to about two frames
+    per vertex, passes the interpreter's recursion limit.
     """
     limit = DEFAULT_RANK_CEILING if ceiling is None else ceiling
-    return _RankMemo(g, limit).solve(g.full_mask, g.n + 1)
+    try:
+        return _RankMemo(g, limit).solve(g.full_mask, g.n + 1)
+    except RecursionError:
+        raise RankDepthError(
+            f"rank recursion on {g.n} vertices exceeds the interpreter's recursion limit"
+        ) from None
 
 
 class RankShrinkGame:

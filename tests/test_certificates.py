@@ -2,10 +2,12 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entrank.digraph import Digraph
+from entrank.digraph import Digraph, mask_of
 from entrank.entgames import solve_pursuit
 from entrank.gamecore import (
     COPS,
@@ -13,6 +15,7 @@ from entrank.gamecore import (
     StrategyCertificate,
     certificate_from_json,
     certificate_to_json,
+    make_game,
     verify_certificate,
 )
 from entrank.rank import solve_comeback_game, solve_rank_game
@@ -129,3 +132,76 @@ def test_malformed_json_names_the_field(game_id, mutate, field):
     mutate(obj)
     with pytest.raises(ValueError, match=f"'{field}'"):
         certificate_from_json(obj)
+
+
+# ----------------------------------------------- mutated certificates rejected
+
+
+def _position(game_id, key):
+    """The game position behind a pursuit or shrink-game position key."""
+    if game_id == "rank":
+        verts, turn, counter = key
+        return (mask_of(verts), turn, counter)
+    v, cops, virtual, turn = key
+    return (v, mask_of(cops), mask_of(virtual), turn)
+
+
+def _cops_move_keys(game_id, n):
+    """Every cops move key naming vertices ``0 .. n``, one past the graph."""
+    if game_id == "rank":
+        return [("remove", v) for v in range(n + 1)]
+    subsets = [c for r in range(n + 2) for c in combinations(range(n + 1), r)]
+    return [("occupy", c, t) for c in subsets for t in subsets if not set(c) & set(t)]
+
+
+@st.composite
+def small_graphs(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return Digraph(n, sorted(set(draw(st.lists(pairs, max_size=3 * n)))))
+
+
+@pytest.mark.parametrize("game_id", ("rank", "ent", "et", "entv"))
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_mutated_cops_certificates_are_rejected(game_id, g, data):
+    k = next(k for k in range(g.n + 1) if _solve(g, game_id, k).winner == COPS)
+    cert = _solve(g, game_id, k).certificate
+    if not cert.moves:  # acyclic: the cops win without a move
+        assert k == 0
+        return
+    keys = sorted(cert.moves, key=repr)
+
+    def replay(moves, budget=k):
+        return verify_certificate(
+            g, game_id, budget, StrategyCertificate(game_id, budget, COPS, moves)
+        )
+
+    assert replay(cert.moves).ok
+
+    # one recorded move deleted
+    gone = data.draw(st.sampled_from(keys), label="deleted")
+    moves = {p: m for p, m in cert.moves.items() if p != gone}
+    rep = replay(moves)
+    assert not rep.ok and "no move recorded" in rep.reason
+
+    # one move replaced by a key that is illegal at its position
+    at = data.draw(st.sampled_from(keys), label="retargeted")
+    game = make_game(g, game_id, k)
+    legal = {mk for mk, _ in game.moves(_position(game_id, at))}
+    illegal = [mk for mk in _cops_move_keys(game_id, g.n) if mk not in legal]
+    rep = replay({**cert.moves, at: data.draw(st.sampled_from(illegal), label="key")})
+    assert not rep.ok and "illegal" in rep.reason
+
+    # one occupy move given k + 1 cops
+    if game_id != "rank" and k < g.n:
+        at = data.draw(st.sampled_from(keys), label="overbudget")
+        _, cops, virtual = cert.moves[at]
+        free = [v for v in range(g.n) if v not in cops and v not in virtual]
+        extra = free[: k + 1 - len(cops) - len(virtual)]
+        rep = replay({**cert.moves, at: ("occupy", tuple(sorted(cops + tuple(extra))), virtual)})
+        assert not rep.ok and "illegal" in rep.reason
+
+    # the least winning k's certificate replayed one cop short
+    if k > 0:
+        assert not replay(cert.moves, k - 1).ok

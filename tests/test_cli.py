@@ -246,6 +246,45 @@ def test_rank_ceiling_exits_2(run, dicycle_file, tiny_rank_ceiling):
     assert rc == 0 and out == "entanglement: 1\n"
 
 
+@pytest.fixture
+def upath1200_file(tmp_path):
+    # rank recurses about two frames per vertex, past the default limit
+    n = 1200
+    p = tmp_path / "upath1200.txt"
+    p.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n{i + 1} {i}\n" for i in range(n - 1)))
+    return str(p)
+
+
+DEPTH_ERROR = "error: rank recursion on 1200 vertices exceeds the interpreter's recursion limit\n"
+
+
+def test_rank_depth_exits_2(run, upath1200_file):
+    for argv in (("measure", "--rank"), ("measure",), ("translate",)):
+        rc, out, err = run(argv[0], upath1200_file, *argv[1:])
+        assert rc == 2 and out == ""
+        assert err == DEPTH_ERROR and "Traceback" not in err
+
+
+def test_rank_depth_is_a_skip(run, upath1200_file):
+    rc, out, err = run("verify", "theorem", upath1200_file)
+    assert rc == 0 and "Traceback" not in err
+    assert "skip upath1200.txt: rank recursion on 1200 vertices exceeds" in out
+
+
+def test_muterm_analyze_rank_depth_exits_2(run, tmp_path, monkeypatch):
+    # a term that parses is too shallow to reach the limit in rank, so
+    # the recursion is made to overflow at once
+    def overflow(self, mask, cap):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(importlib.import_module("entrank.rank")._RankMemo, "solve", overflow)
+    term = tmp_path / "t.term"
+    term.write_text("mu x. f(x, nu y. g(y))\n")
+    rc, out, err = run("muterm", "analyze", str(term))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: rank recursion on ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("suite", ["theorem", "equiv"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_rank_ceiling_is_a_skip(run, dicycle_file, suite, jobs):
