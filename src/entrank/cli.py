@@ -8,10 +8,12 @@ Subcommands::
     gen (--corpus SPEC | corpus flags) -o DIR
     muterm analyze <term-file>
     translate <graph-file> [-k K] [--cert out.json]
+    replay <graph-file> <cert.json>
 
 Exit status: 0 when the requested work succeeded with zero violations,
-1 when a verification suite or translation reported violations, 2 on
-operational errors (unreadable files, solver ceilings, bad arguments).
+1 when a verification suite or translation reported violations or a
+replayed certificate was rejected, 2 on operational errors (unreadable
+files, malformed certificates, solver ceilings, bad arguments).
 
 ``verify --json -`` (or bare ``--json``) writes the report JSON to
 stdout and moves the human-readable summary to stderr, so that piped
@@ -31,7 +33,9 @@ from .gamecore import (
     COPS,
     ArenaCeilingError,
     GameResult,
+    certificate_from_json,
     certificate_to_json,
+    make_game,
     verify_certificate,
 )
 from .graphio import GraphFormatError, load_graph, save_edge_list
@@ -221,6 +225,32 @@ def cmd_translate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_replay(args: argparse.Namespace) -> int:
+    g = _load(args.graph)
+    try:
+        text = Path(args.cert).read_text()
+    except OSError as exc:
+        print(f"error: cannot read {args.cert!r}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        cert = certificate_from_json(json.loads(text))
+        # the game id and k come from the file; the game checks them
+        make_game(g, cert.game, cert.k)
+    except (ValueError, RecursionError) as exc:
+        print(f"error: bad certificate {args.cert!r}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        report = verify_certificate(g, cert.game, cert.k, cert)
+    except ArenaCeilingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    if not report.ok:
+        print(f"rejected: {report.reason}")
+        return EXIT_VIOLATIONS
+    print("ok")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrank",
@@ -298,6 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None, help="budget (default: rank of the graph)")
     p.add_argument("--cert", metavar="OUT.json", help="write the translated certificate")
     p.set_defaults(func=cmd_translate)
+
+    p = sub.add_parser(
+        "replay",
+        help="replay a certificate file against every opponent move; "
+        "its game id and k are read from the file",
+    )
+    p.add_argument("graph")
+    p.add_argument("cert", metavar="CERT.json", help="certificate written by game or translate")
+    p.set_defaults(func=cmd_replay)
 
     return parser
 

@@ -23,14 +23,17 @@ arrays and computes the cops' forced-reachability set toward
 thief-stuck positions by the standard backward counting pass.  The
 extracted certificates are positional: cops follow strictly decreasing
 attractor ranks; a winning thief simply stays outside the attractor.
-Each recorded decision is named by ``PursuitGame.move_key``.
+Each recorded decision is named by ``PursuitGame.move_key``.  Replay
+goes the other way: ``PursuitGame.play`` decodes a recorded move key
+into its successor position and lets ``successors`` confirm it, rather
+than naming every legal move to find the recorded one.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .digraph import Digraph, iter_mask
+from .digraph import Digraph, iter_mask, mask_of
 from .gamecore import (
     COPS,
     DEFAULT_POSITION_CEILING,
@@ -112,23 +115,25 @@ class PursuitGame:
         # virtual variant
         if (vmask >> v) & 1:
             return [(cmask | vb, vmask & ~vb)]
-        n = self.g.n
-        out = set()
+        # Each (c2, t2) comes out once: v is not in cmask and cmask and
+        # vmask are disjoint at every reachable cops position, so c2 never
+        # meets vmask, and a reserved vertex w outside vmask cannot
+        # rebuild a submask of vmask.
+        full = self.g.full_mask
+        out = []
         for s in _submasks(cmask):
             for c2 in (s, s | vb):
+                room = k - c2.bit_count()
+                fresh = [1 << w for w in iter_mask(full & ~(c2 | vmask))]
                 for t in _submasks(vmask):
-                    if c2 & t:
+                    left = room - t.bit_count()
+                    if left < 0:
                         continue
-                    if (c2 | t).bit_count() <= k:
-                        out.add((c2, t))
-                    for w in range(n):
-                        wb = 1 << w
-                        t2 = t | wb
-                        if t2 == t or c2 & wb:
-                            continue
-                        if (c2 | t2).bit_count() <= k:
-                            out.add((c2, t2))
-        return sorted(out)
+                    out.append((c2, t))
+                    if left:
+                        out.extend((c2, t | wb) for wb in fresh)
+        out.sort()
+        return out
 
     # -- game protocol ----------------------------------------------------
 
@@ -162,6 +167,37 @@ class PursuitGame:
 
     def moves(self, pos):
         return [(self.move_key(pos, q), q) for q in self.successors(pos)]
+
+    def play(self, pos, mk):
+        """The successor of ``pos`` that move key ``mk`` names, or ``None``.
+
+        The key is decoded into a position, which ``successors`` must
+        list and ``move_key`` must name by ``mk`` itself: legality is
+        left to the move rules, and unsorted or duplicated vertex tuples
+        are refused.
+        """
+        try:
+            tag = mk[0]
+            if pos == INIT:
+                q = (mk[1], 0, 0, COPS) if tag == "start" else None
+            elif pos[3] == THIEF:
+                q = (mk[1], pos[1], pos[2], COPS) if tag == "to" else None
+            # a vertex past the graph would make ``mask_of`` build a huge int
+            elif tag == "occupy" and all(x < self.g.n for x in mk[1] + mk[2]):
+                q = (pos[0], mask_of(mk[1]), mask_of(mk[2]), THIEF)
+            else:
+                q = None
+        except (TypeError, ValueError, LookupError):
+            return None
+        if q is None:
+            return None
+        succ = self.successors(pos)
+        try:
+            # the listed successor, whatever number types ``mk`` used
+            q = succ[succ.index(q)]
+        except ValueError:
+            return None
+        return q if self.move_key(pos, q) == mk else None
 
     def pos_key(self, pos):
         if pos == INIT:

@@ -9,9 +9,12 @@ Every game object in this package exposes the same small protocol:
 * ``successors(pos)`` -> list of successor positions in canonical order
 * ``move_key(src, dst)`` -> canonical key of the move from ``src`` to
   its successor ``dst``
-* ``moves(pos)`` -> list of ``(move_key, successor)``, derived from the
-  two above; solvers walk ``successors`` and name only the moves they
-  record, replay matches recorded moves against ``moves``
+* ``play(pos, move_key)`` -> the successor of ``pos`` that the key
+  names, or ``None`` for a key that names no legal move (never raises
+  on a malformed or foreign key)
+* ``moves(pos)`` -> list of ``(move_key, successor)``, derived from
+  ``successors`` and ``move_key``; solvers walk ``successors`` and name
+  only the moves they record, replay follows recorded moves by ``play``
 * ``pos_key(pos)`` -> hashable, instance-independent position encoding
 * ``memo_key(pos)`` -> cheap per-instance hashable key
 * ``finite_plays`` -- True when no infinite play exists
@@ -253,8 +256,9 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
                        ceiling: int | None = None) -> ReplayReport:
     """Replay a certificate against every opponent behaviour.
 
-    The certificate owner plays exactly the mapped moves; all other
-    moves are branched.  The walk fails on a missing or illegal mapped
+    The certificate owner plays exactly the mapped moves, followed by
+    ``game.play``; all other moves are branched over ``successors``
+    without being named.  The walk fails on a missing or illegal mapped
     move, on any play won by the opponent, and (unless infinite plays
     favour the owner) on a reachable cycle.
     """
@@ -271,14 +275,14 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
     init_mk = game.memo_key(init)
     index: dict[Any, int] = {init_mk: 0}
     nodes = [init]
-    succ: list[list[tuple[Any, int]]] = []
-    parent: dict[int, tuple[int, Any]] = {}
+    succ: list[list[int]] = []
+    parent: dict[int, int] = {}
 
     def trace_to(i: int) -> list[Any]:
         steps: list[Any] = []
         while i in parent:
-            j, mk = parent[i]
-            steps.append((game.pos_key(nodes[j]), mk))
+            j = parent[i]
+            steps.append((game.pos_key(nodes[j]), game.move_key(nodes[j], nodes[i])))
             i = j
         steps.reverse()
         return steps
@@ -297,7 +301,6 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
                 )
             i += 1
             continue
-        opts = game.moves(pos)
         if game.owner(pos) == winner:
             key = game.pos_key(pos)
             mk = cert.moves.get(key)
@@ -307,25 +310,26 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
                 return ReplayReport(
                     False, f"no move recorded for position {key!r}", steps
                 )
-            chosen = [(m, q) for m, q in opts if m == mk]
-            if not chosen:
+            q = game.play(pos, mk)
+            if q is None:
                 steps = trace_to(i)
                 steps.append((key, mk))
                 return ReplayReport(
                     False, f"recorded move {mk!r} is illegal at {key!r}", steps
                 )
+            chosen = [q]
         else:
-            chosen = opts
+            chosen = game.successors(pos)
         row = []
-        for mk, q in chosen:
+        for q in chosen:
             qkey = game.memo_key(q)
             j = index.get(qkey)
             if j is None:
                 j = len(nodes)
                 index[qkey] = j
                 nodes.append(q)
-                parent[j] = (i, mk)
-            row.append((mk, j))
+                parent[j] = i
+            row.append(j)
         succ.append(row)
         i += 1
 
@@ -340,7 +344,7 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
             row = succ[node]
             advanced = False
             while ptr < len(row):
-                mk, j = row[ptr]
+                j = row[ptr]
                 ptr += 1
                 if color[j] == 1:
                     steps = [(game.pos_key(nodes[x]), None) for x in path]

@@ -228,6 +228,10 @@ class RankShrinkGame:
     def moves(self, pos):
         return [(self.move_key(pos, q), q) for q in self.successors(pos)]
 
+    def play(self, pos, mk):
+        """The successor of ``pos`` that move key ``mk`` names, or ``None``."""
+        return next((q for q in self.successors(pos) if self.move_key(pos, q) == mk), None)
+
     def pos_key(self, pos):
         mask, turn, n = pos
         return (tuple(iter_mask(mask)), turn, n)
@@ -365,6 +369,10 @@ class ComebackGame:
 
     def moves(self, pos: CPos):
         return [(self.move_key(pos, q), q) for q in self.successors(pos)]
+
+    def play(self, pos: CPos, mk) -> CPos | None:
+        """The successor of ``pos`` that move key ``mk`` names, or ``None``."""
+        return next((q for q in self.successors(pos) if self.move_key(pos, q) == mk), None)
 
     def pos_key(self, pos: CPos):
         k = self._keys.get(pos.uid)

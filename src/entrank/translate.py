@@ -45,7 +45,7 @@ belongs to ``verify_certificate``.
 
 from __future__ import annotations
 
-from .digraph import Digraph
+from .digraph import Digraph, iter_mask
 from .entgames import PursuitGame
 from .gamecore import COPS, THIEF, StrategyCertificate
 from .rank import ComebackGame, CPos
@@ -115,10 +115,10 @@ class _Translator:
         return mk[1]
 
     def _advance(self, pos: CPos, wanted) -> CPos:
-        for mk, q in self.game.moves(pos):
-            if mk == wanted:
-                return q
-        raise TranslationError(f"move {wanted!r} is not available at {pos!r}")
+        q = self.game.play(pos, wanted)
+        if q is None:
+            raise TranslationError(f"move {wanted!r} is not available at {pos!r}")
+        return q
 
     def run(self) -> StrategyCertificate:
         pursuit = self.pursuit
@@ -183,11 +183,7 @@ class _Translator:
                 f"leaks outside the enclosing matched component"
             )
 
-        target = None
-        for mk, q in self.game.moves(parent):
-            if mk[0] == "enter" and q.mask == smask:
-                target = q
-                break
+        target = self.game.play(parent, ("enter", tuple(iter_mask(smask))))
         if target is None:
             raise TranslationError(
                 f"no forward move into the thief's component from {parent!r}"

@@ -251,3 +251,99 @@ def pursuit_min_k(n, edges, variant):
     while not pursuit_cops_win(n, edges, k, variant):
         k += 1
     return k
+
+
+# -------------------------------------------------------- certificate replay
+
+
+def replay_by_moves(game, cert):
+    """Replay ``cert`` on ``game`` by matching recorded keys against ``moves``.
+
+    The certified player's recorded key is looked up among every named
+    move of ``game.moves(pos)``; the opponent takes every named move.
+    Returns ``(ok, reason, trace)`` with the reasons and traces of
+    ``gamecore.verify_certificate``: first on a play won by the other
+    player, a missing or illegal recorded move, and then, unless
+    infinite plays favour the certified thief, on a reachable cycle.
+    """
+    if cert.game != game.game_id:
+        return False, f"certificate is for game {cert.game!r}, not {game.game_id!r}", None
+    if cert.k != game.k:
+        return False, f"certificate is for k={cert.k}, not k={game.k}", None
+    winner = cert.winner
+    if winner not in (THIEF, COPS):
+        return False, f"unknown winner tag {winner!r}", None
+
+    init = game.initial_position()
+    index = {game.memo_key(init): 0}
+    nodes = [init]
+    rows = []
+    parent = {}
+
+    def trace_to(i):
+        steps = []
+        while i in parent:
+            j, mk = parent[i]
+            steps.append((game.pos_key(nodes[j]), mk))
+            i = j
+        return steps[::-1]
+
+    i = 0
+    while i < len(nodes):
+        pos = nodes[i]
+        term = game.winner_if_terminal(pos)
+        if term is not None:
+            rows.append([])
+            if term != winner:
+                return (False, f"a play ends in a win for {term}",
+                        trace_to(i) + [(game.pos_key(pos), None)])
+            i += 1
+            continue
+        opts = game.moves(pos)
+        if game.owner(pos) == winner:
+            key = game.pos_key(pos)
+            mk = cert.moves.get(key)
+            if mk is None:
+                return (False, f"no move recorded for position {key!r}",
+                        trace_to(i) + [(key, None)])
+            opts = [(m, q) for m, q in opts if m == mk]
+            if not opts:
+                return (False, f"recorded move {mk!r} is illegal at {key!r}",
+                        trace_to(i) + [(key, mk)])
+        row = []
+        for mk, q in opts:
+            qkey = game.memo_key(q)
+            if qkey not in index:
+                index[qkey] = len(nodes)
+                nodes.append(q)
+                parent[index[qkey]] = (i, mk)
+            row.append(index[qkey])
+        rows.append(row)
+        i += 1
+
+    if winner == COPS or game.finite_plays:
+        # iterative depth-first search; a successor on the current path
+        # closes a cycle
+        state = [0] * len(nodes)  # 0 new, 1 on the path, 2 finished
+        state[0] = 1
+        path = [0]
+        stack = [(0, 0)]
+        while stack:
+            node, ptr = stack.pop()
+            row = rows[node]
+            while ptr < len(row):
+                j = row[ptr]
+                ptr += 1
+                if state[j] == 1:
+                    steps = [(game.pos_key(nodes[x]), None) for x in path + [j]]
+                    return False, "the play can repeat a position (infinite play)", steps
+                if state[j] == 0:
+                    stack.append((node, ptr))
+                    state[j] = 1
+                    stack.append((j, 0))
+                    path.append(j)
+                    break
+            else:
+                state[node] = 2
+                path.pop()
+    return True, None, None

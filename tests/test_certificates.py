@@ -21,6 +21,7 @@ from entrank.gamecore import (
 from entrank.rank import solve_comeback_game, solve_rank_game
 
 from conftest import dg, dicycle_edges, random_edges, ucycle_edges
+from oracles import replay_by_moves
 
 ALL_GAMES = ("rank", "comeback", "ent", "et", "entv")
 
@@ -205,3 +206,55 @@ def test_mutated_cops_certificates_are_rejected(game_id, g, data):
     # the least winning k's certificate replayed one cop short
     if k > 0:
         assert not replay(cert.moves, k - 1).ok
+
+
+# ------------------------------------------- replay pinned to the reference
+
+
+_FOREIGN = {"rank": ("to", 0), "comeback": ("occupy", (0,), ()),
+            "ent": ("remove", 0), "et": ("enter", (0,)), "entv": ("start", 0)}
+
+
+@pytest.mark.parametrize("game_id", ALL_GAMES)
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_replay_verdicts_match_the_reference(game_id, g, data):
+    # ``verify_certificate`` follows recorded moves by ``play`` and names
+    # a move only in a failure trace; ``oracles.replay_by_moves`` matches
+    # keys against ``moves``.  Both must give the same verdict, reason
+    # and trace on solved certificates and on mutated ones.
+    k = data.draw(st.integers(0, g.n), label="k")
+    cert = _solve(g, game_id, k).certificate
+    keys = sorted(cert.moves, key=repr)
+    variants = [cert.moves]
+    if keys:
+        gone = data.draw(st.sampled_from(keys), label="dropped")
+        variants.append({p: m for p, m in cert.moves.items() if p != gone})
+        at = data.draw(st.sampled_from(keys), label="foreign")
+        variants.append({**cert.moves, at: _FOREIGN[game_id]})
+    if len(keys) > 1:
+        a, b = data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True),
+                         label="swapped")
+        variants.append({**cert.moves, a: cert.moves[b], b: cert.moves[a]})
+    game = make_game(g, game_id, k)
+    for winner in (cert.winner, THIEF if cert.winner == COPS else COPS):
+        for moves in variants:
+            mutated = StrategyCertificate(game_id, k, winner, moves)
+            rep = verify_certificate(g, game_id, k, mutated)
+            assert (rep.ok, rep.reason, rep.trace) == replay_by_moves(game, mutated)
+
+
+@pytest.mark.parametrize("game_id", ALL_GAMES)
+def test_replay_does_not_name_every_move(game_id, monkeypatch):
+    # replay follows the recorded move by ``play`` and branches over
+    # ``successors``; listing every named move is left to callers
+    g = dg(4, ucycle_edges(4))
+    certs = [_solve(g, game_id, k).certificate for k in range(g.n + 1)]
+    game_type = type(make_game(g, game_id, 0))
+
+    def refuse(self, pos):
+        raise AssertionError("replay listed every named move")
+
+    monkeypatch.setattr(game_type, "moves", refuse)
+    for cert in certs:
+        assert verify_certificate(g, game_id, cert.k, cert).ok

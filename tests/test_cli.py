@@ -362,3 +362,75 @@ def test_installed_console_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert "measure" in proc.stdout
+
+
+# ------------------------------------------------------------------ replay
+
+
+@pytest.mark.parametrize("argv", [
+    ("game", "ent", "-k", "1", "--variant", "entv"),
+    ("game", "ent", "-k", "0"),
+    ("game", "rank", "-k", "1", "--variant", "comeback"),
+    ("translate",),
+])
+def test_replay_accepts_written_certificates(run, dicycle_file, tmp_path, argv):
+    cert = str(tmp_path / "cert.json")
+    rc, _, _ = run(*argv[:2], dicycle_file, *argv[2:], "--cert", cert)
+    assert rc == 0
+    assert run("replay", dicycle_file, cert) == (0, "ok\n", "")
+
+
+def test_replay_rejects_a_tampered_certificate(run, dicycle_file, tmp_path):
+    cert = tmp_path / "cert.json"
+    run("game", "ent", dicycle_file, "-k", "1", "--cert", str(cert))
+    obj = json.loads(cert.read_text())
+    dropped = obj["moves"].pop()
+    cert.write_text(json.dumps(obj))
+    rc, out, err = run("replay", dicycle_file, str(cert))
+    assert rc == 1 and err == ""
+    assert out.startswith("rejected: no move recorded for position ")
+    # the same certificate on a graph it does not fit
+    obj["moves"].append(dropped)
+    cert.write_text(json.dumps(obj))
+    other = tmp_path / "path.txt"
+    other.write_text("3\n0 1\n1 0\n1 2\n2 1\n")
+    rc, out, _ = run("replay", str(other), str(cert))
+    assert rc == 1 and out.startswith("rejected: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "error: bad certificate "),
+    ("[" * 100_000 + "]" * 100_000, "error: bad certificate "),
+    ('{"game": "ent", "k": 1, "winner": "cops"}', "lacks the field 'moves'"),
+    ('{"game": "nope", "k": 1, "winner": "cops", "moves": []}', "unknown game id 'nope'"),
+    ('{"game": "ent", "k": 9, "winner": "cops", "moves": []}', "cop count k must satisfy"),
+    (None, "error: cannot read "),
+])
+def test_replay_bad_input_exits_2(run, dicycle_file, tmp_path, text, message):
+    cert = tmp_path / "cert.json"
+    if text is not None:
+        cert.write_text(text)
+    rc, out, err = run("replay", dicycle_file, str(cert))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_replay_bad_graph_exits_2(run, tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"game": "ent", "k": 0, "winner": "cops", "moves": []}')
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a graph\n")
+    for graph in (str(bad), str(tmp_path / "missing.txt")):
+        rc, out, err = run("replay", graph, str(cert))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot load graph ") and err.count("\n") == 1
+
+
+def test_replay_ceiling_exits_2(run, dicycle_file, tmp_path, monkeypatch):
+    cert = str(tmp_path / "cert.json")
+    run("game", "rank", dicycle_file, "-k", "1", "--variant", "comeback", "--cert", cert)
+    monkeypatch.setattr(importlib.import_module("entrank.rank").ComebackGame, "DEFAULT_CEILING", 1)
+    rc, out, err = run("replay", dicycle_file, cert)
+    assert rc == 2 and out == ""
+    assert err == "error: comeback arena exceeded the position ceiling of 1\n"

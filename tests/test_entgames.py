@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from entrank.digraph import Digraph
+from entrank.digraph import Digraph, iter_mask, mask_of
 from entrank.entgames import (
     ArenaCeilingError,
     COPS,
     THIEF,
+    PursuitGame,
     entanglement,
     entv_min_k,
     et_min_k,
@@ -23,7 +24,7 @@ from conftest import (
     ucycle_edges,
     upath_edges,
 )
-from oracles import pursuit_cops_win, pursuit_min_k
+from oracles import _cop_options, pursuit_cops_win, pursuit_min_k
 
 
 # Frozen expected values (oracle: oracles.pursuit_min_k, variant "ent").
@@ -116,3 +117,35 @@ def test_ceiling_raises_instead_of_guessing():
         solve_pursuit(g, 2, variant="entv", ceiling=10)
     with pytest.raises(ArenaCeilingError):
         entanglement(dg(4, clique_edges(4)), ceiling=5)
+
+
+def test_cop_configs_match_oracle_without_duplicates():
+    # Every reachable cops position of each variant: the configurations
+    # come out sorted, each once, and as a set equal the oracle's rules.
+    rng = random.Random(53)
+    for _ in range(10):
+        n = rng.randrange(3, 7)
+        g = dg(n, random_edges(n, 0.35, rng))
+        for variant in ("ent", "et", "entv"):
+            for k in range(n + 1):
+                game = PursuitGame(g, k, variant)
+                seen = {game.initial_position()}
+                todo = [game.initial_position()]
+                while todo:
+                    pos = todo.pop()
+                    if game.owner(pos) == COPS:
+                        v, cmask, vmask, _ = pos
+                        got = game.cop_configs(v, cmask, vmask)
+                        assert got == sorted(set(got)), (variant, n, k, pos)
+                        want = {
+                            (mask_of(c), mask_of(t))
+                            for c, t in _cop_options(
+                                v, frozenset(iter_mask(cmask)),
+                                frozenset(iter_mask(vmask)), k, n, variant,
+                            )
+                        }
+                        assert set(got) == want, (variant, n, k, pos)
+                    for q in game.successors(pos):
+                        if q not in seen:
+                            seen.add(q)
+                            todo.append(q)
