@@ -84,11 +84,6 @@ _FOREIGN_KEYS = (
 )
 
 
-def _vertex_lists(mk):
-    """Indices of ``mk``'s vertex-tuple fields."""
-    return [i for i, x in enumerate(mk) if i and type(x) is tuple and all(type(v) is int for v in x)]
-
-
 def _malformed(mk, n):
     """Keys derived from the legal key ``mk`` that no legal move can carry."""
     out = [("bogus",) + mk[1:], mk + (0,)]
@@ -96,8 +91,9 @@ def _malformed(mk, n):
             if tag != mk[0]]
     if type(mk[1]) is int:
         out += [(mk[0], n), (mk[0], n + 3), (mk[0], -1), (mk[0], str(mk[1]))]
-    for i in _vertex_lists(mk):
-        vs = mk[i]
+    for i, vs in enumerate(mk):
+        if not (i and type(vs) is tuple and all(type(v) is int for v in vs)):
+            continue  # not a vertex tuple
         for bad in (vs + (n,), vs + (-1,), vs[::-1], vs + vs[:1], vs + vs[-1:], list(vs)):
             out.append(mk[:i] + (bad,) + mk[i + 1:])
     return out
