@@ -5,6 +5,7 @@ terminal-summary hook in conftest.py and also asserts, so a regression shows
 up both in the exit status and in the human-readable recap.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -315,12 +316,16 @@ def test_criterion_9_determinism(tmp_path):
     rc_b = cli.main(["verify", "theorem", "--corpus", spec, "--json", str(out_b)])
     cli_ok = rc_a == rc_b == 0 and out_a.read_bytes() == out_b.read_bytes()
     obj = json.loads(first)
-    ok = api_ok and cli_ok and obj["summary"]["checked"] == 100
+    # the report's bytes are pinned, so a refactor cannot change them
+    pinned = hashlib.sha256(first.encode()).hexdigest() == (
+        "27fbe802f275d95fc7c935b72aa917e00148963eeeb825adbd2df004c22e030c"
+    )
+    ok = api_ok and cli_ok and pinned and obj["summary"]["checked"] == 100
     record_acceptance(
         9,
         "deterministic-reports",
         ok,
         "two runs over random:n=6,p=0.3,seed=42,count=100 byte-identical "
-        "(API and CLI)",
+        "(API and CLI) and equal to the pinned sha256",
     )
     assert ok

@@ -71,36 +71,49 @@ def test_mask_roundtrip():
     assert list(iter_mask(0)) == []
 
 
-@settings(max_examples=120, deadline=None)
-@given(graphs)
-def test_scc_decompose_matches_oracle(ne):
-    n, edges = ne
-    g = Digraph(n, edges)
-    d = scc_decompose(g)
-    assert set(d.components) == set(scc_classes(range(n), edges))
-    expected_nontrivial = set(nontrivial_sccs(range(n), edges))
-    assert {d.components[i] for i in d.nontrivial} == expected_nontrivial
-    assert set(d.nontrivial_components) == expected_nontrivial
-    for i, comp in enumerate(d.components):
-        assert d.component_masks[i] == mask_of(comp)
-        for v in comp:
-            assert d.scc_of[v] == i
-            assert d.components[d.scc_of[v]] == comp
+def _masks(data, g):
+    """The whole graph plus one drawn live-vertex mask."""
+    return (g.full_mask, data.draw(st.integers(0, g.full_mask), label="mask"))
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs)
-def test_ahead_of_matches_reachability(ne):
+@given(graphs, st.data())
+def test_scc_decompose_matches_oracle(ne, data):
     n, edges = ne
     g = Digraph(n, edges)
-    d = scc_decompose(g)
-    reach = reach_sets(range(n), edges)
-    for i in d.nontrivial:
-        ahead = set(d.ahead_of(i))
-        from_i = set().union(*(reach[v] for v in d.components[i]))
-        for j in d.nontrivial:
-            expect = j != i and bool(d.components[j] & from_i)
-            assert (j in ahead) == expect
+    for mask in _masks(data, g):
+        live = list(iter_mask(mask))
+        d = scc_decompose(g, mask)
+        assert d.mask == mask
+        assert set(d.components) == set(scc_classes(live, edges))
+        expected_nontrivial = set(nontrivial_sccs(live, edges))
+        assert {d.components[i] for i in d.nontrivial} == expected_nontrivial
+        assert set(d.nontrivial_components) == expected_nontrivial
+        # listed by ascending smallest member
+        lows = [min(c) for c in d.components]
+        assert lows == sorted(lows) and len(set(lows)) == len(lows)
+        assert sorted(d.scc_of) == live
+        for i, comp in enumerate(d.components):
+            assert d.component_masks[i] == mask_of(comp)
+            for v in comp:
+                assert d.scc_of[v] == i
+                assert d.components[d.scc_of[v]] == comp
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs, st.data())
+def test_ahead_of_matches_reachability(ne, data):
+    n, edges = ne
+    g = Digraph(n, edges)
+    for mask in _masks(data, g):
+        d = scc_decompose(g, mask)
+        reach = reach_sets(list(iter_mask(mask)), edges)
+        for i in d.nontrivial:
+            ahead = set(d.ahead_of(i))
+            from_i = set().union(*(reach[v] for v in d.components[i]))
+            for j in d.nontrivial:
+                expect = j != i and bool(d.components[j] & from_i)
+                assert (j in ahead) == expect
 
 
 def test_scc_on_mask_restricts():
