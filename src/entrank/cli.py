@@ -58,10 +58,16 @@ def _load(path: str):
         raise SystemExit(f"error: cannot load graph {path!r}: {exc}")
 
 
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {what} {path!r}: {exc}")
+
+
 def _write_certificate(path: str, result: GameResult) -> None:
-    Path(path).write_text(
-        json.dumps(certificate_to_json(result.certificate), indent=2) + "\n"
-    )
+    text = json.dumps(certificate_to_json(result.certificate), indent=2) + "\n"
+    _write(path, text, "certificate")
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
@@ -137,7 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             human_out = sys.stderr
             sys.stdout.write(text)
         else:
-            Path(args.json).write_text(text)
+            _write(args.json, text, "report")
     for rec in report.records:
         for msg in rec.failures:
             print(f"FAIL {rec.graph_id}: {msg}", file=human_out)
@@ -164,10 +170,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     graphs = generate_corpus(spec)
-    for index, (graph_id, g) in enumerate(graphs):
-        save_edge_list(g, out / f"{index:04d}-{graph_id}.edges", comment=graph_id)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for index, (graph_id, g) in enumerate(graphs):
+            save_edge_list(g, out / f"{index:04d}-{graph_id}.edges", comment=graph_id)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write corpus to {args.output!r}: {exc}")
     print(f"wrote {len(graphs)} graphs from {spec.canonical} to {out}")
     return EXIT_OK
 

@@ -161,6 +161,24 @@ def test_verify_rejects_bad_usage(run, dicycle_file):
     assert rc == 2 and "not both" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("game", "rank", "{graph}", "-k", "1", "--cert", "{missing}/x.json"),
+        ("translate", "{graph}", "--cert", "{missing}/x.json"),
+        ("verify", "equiv", "{graph}", "--json", "{missing}/r.json"),
+        ("gen", "--family", "clique", "--size", "3", "--output", "{graph}"),
+    ],
+    ids=["game-cert", "translate-cert", "verify-json", "gen-onto-a-file"],
+)
+def test_unwritable_output_exits_2(run, dicycle_file, tmp_path, argv):
+    missing = tmp_path / "missing" / "dir"
+    rc, _, err = run(*(a.format(graph=dicycle_file, missing=missing) for a in argv))
+    assert rc == 2
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not missing.exists()
+
+
 def test_gen_writes_corpus(run, tmp_path):
     out_dir = tmp_path / "corpus"
     rc, out, _ = run(
