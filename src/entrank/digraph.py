@@ -1,4 +1,5 @@
-"""Finite digraphs with dense integer vertices and SCC decomposition.
+"""Finite digraphs with dense integer vertices and their strongly
+connected components.
 
 Vertices are ``0 .. n-1``.  Self-loops are allowed and meaningful: a
 single vertex is a *nontrivial* strongly connected component exactly
@@ -6,8 +7,13 @@ when it carries a loop.  Parallel edges are rejected at construction.
 
 Subgraphs of a fixed parent graph are passed around as live-vertex
 bitmasks (``int``), so that derived quantities can be memoised on
-canonical integer keys.  ``scc_decompose`` accepts such a mask; all
-solvers in this package work on (parent graph, mask) pairs internally.
+canonical integer keys; all solvers in this package work on (parent
+graph, mask) pairs internally.  Each graph keeps a successor and a
+predecessor mask per vertex, and the one SCC primitive works on them:
+:func:`component` is the backward closure of a vertex inside its
+forward closure, and :func:`components` peels components off a mask,
+lowest vertex first.  :func:`scc_decompose` packages that peel as an
+:class:`SccDecomposition`.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ __all__ = [
     "SccDecomposition",
     "scc_decompose",
     "scc_memo",
+    "component",
+    "components",
+    "cyclic",
     "mask_of",
     "iter_mask",
 ]
@@ -44,7 +53,7 @@ def iter_mask(mask: int) -> Iterator[int]:
 class Digraph:
     """Immutable digraph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("_n", "_edges", "_adj", "_radj", "full_mask")
+    __slots__ = ("_n", "_edges", "_adj", "_radj", "full_mask", "succ_masks", "pred_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -66,6 +75,8 @@ class Digraph:
         self._adj = tuple(tuple(sorted(s)) for s in adj)
         self._radj = tuple(tuple(sorted(s)) for s in radj)
         self.full_mask = (1 << n) - 1
+        self.succ_masks = tuple(mask_of(s) for s in self._adj)
+        self.pred_masks = tuple(mask_of(s) for s in self._radj)
 
     @property
     def n(self) -> int:
@@ -169,112 +180,69 @@ class SccDecomposition:
         return tuple(sorted(j for (a, j) in self.order if a == i))
 
 
-def scc_decompose(g: Digraph, mask: int | None = None) -> SccDecomposition:
-    """Tarjan decomposition of the subgraph induced by ``mask``.
+def _closure(v: int, adj: tuple[int, ...], within: int) -> int:
+    """Vertices of ``within`` reachable from ``v`` along ``adj`` masks."""
+    todo = 1 << v
+    left = within & ~todo
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = adj[low.bit_length() - 1] & left
+        left ^= new
+        todo |= new
+    return within & ~left
 
-    ``mask`` defaults to the whole graph.  The implementation is
-    iterative, so deep graphs do not hit the recursion limit.
+
+def component(g: Digraph, v: int, mask: int) -> int:
+    """Strongly connected component of live vertex ``v`` in ``mask``.
+
+    The vertices ``v`` reaches, cut down to those that reach ``v`` back.
+    """
+    return _closure(v, g.pred_masks, _closure(v, g.succ_masks, mask))
+
+
+def components(g: Digraph, mask: int) -> Iterator[int]:
+    """Strongly connected components of ``mask``, by smallest member.
+
+    Each step peels off the component of the lowest live vertex, as the
+    caller asks for it.
+    """
+    while mask:
+        comp = component(g, (mask & -mask).bit_length() - 1, mask)
+        mask ^= comp
+        yield comp
+
+
+def cyclic(g: Digraph, comp: int) -> bool:
+    """Whether component ``comp`` holds a cycle: it has more than one
+    vertex, or its one vertex carries a loop."""
+    return bool(comp & (comp - 1) or g.succ_masks[comp.bit_length() - 1] & comp)
+
+
+def scc_decompose(g: Digraph, mask: int | None = None) -> SccDecomposition:
+    """Decomposition of the subgraph induced by ``mask`` (default: all).
+
+    Built from :func:`components`; ``order`` takes one forward closure
+    per nontrivial component.
     """
     if mask is None:
         mask = g.full_mask
     if mask & ~g.full_mask:
         raise ValueError("mask mentions vertices outside the graph")
-
-    succs: dict[int, tuple[int, ...]] = {}
-
-    def live_succs(v: int) -> tuple[int, ...]:
-        s = succs.get(v)
-        if s is None:
-            s = tuple(w for w in g.successors(v) if mask >> w & 1)
-            succs[v] = s
-        return s
-
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    comps_raw: list[list[int]] = []
-    counter = 0
-
-    for root in iter_mask(mask):
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        frames: list[tuple[int, int]] = [(root, 0)]
-        while frames:
-            v, i = frames.pop()
-            ws = live_succs(v)
-            descended = False
-            while i < len(ws):
-                w = ws[i]
-                i += 1
-                if w not in index:
-                    frames.append((v, i))
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    frames.append((w, 0))
-                    descended = True
-                    break
-                if w in onstack and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps_raw.append(comp)
-            if frames:
-                pv = frames[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-
-    comps = sorted(sorted(c) for c in comps_raw)
-    components = tuple(frozenset(c) for c in comps)
-    component_masks = tuple(mask_of(c) for c in comps)
-    scc_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    nontrivial = frozenset(
-        i
-        for i, comp in enumerate(comps)
-        if len(comp) > 1 or g.has_edge(comp[0], comp[0])
-    )
-
-    cn = len(comps)
-    csucc: list[set[int]] = [set() for _ in range(cn)]
-    for v in iter_mask(mask):
-        ci = scc_of[v]
-        for w in live_succs(v):
-            cj = scc_of[w]
-            if ci != cj:
-                csucc[ci].add(cj)
-    order_pairs: set[tuple[int, int]] = set()
+    masks = tuple(components(g, mask))
+    nontrivial = [i for i, c in enumerate(masks) if cyclic(g, c)]
+    order = set()
     for i in nontrivial:
-        seen: set[int] = set()
-        todo = list(csucc[i])
-        while todo:
-            j = todo.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            todo.extend(csucc[j])
-        order_pairs.update((i, j) for j in seen if j in nontrivial)
-
+        c = masks[i]
+        ahead = _closure(c.bit_length() - 1, g.succ_masks, mask) & ~c
+        order.update((i, j) for j in nontrivial if masks[j] & ahead)
     return SccDecomposition(
         mask=mask,
-        components=components,
-        component_masks=component_masks,
-        nontrivial=nontrivial,
-        order=frozenset(order_pairs),
-        scc_of=scc_of,
+        components=tuple(frozenset(iter_mask(c)) for c in masks),
+        component_masks=masks,
+        nontrivial=frozenset(nontrivial),
+        order=frozenset(order),
+        scc_of={v: i for i, c in enumerate(masks) for v in iter_mask(c)},
     )
 
 

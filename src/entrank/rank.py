@@ -5,19 +5,17 @@ structure: an acyclic graph has rank 0; a strongly connected graph with
 at least one edge has rank ``1 + min`` over single-vertex deletions;
 anything else has the maximum rank of its nontrivial components.
 
-:func:`rank` evaluates that recursion on vertex-subset bitmasks.  Each
-vertex gets a successor and a predecessor bitmask once per call; the
-strongly connected component of the lowest live vertex is its forward
-closure intersected with its backward closure, and components are
-peeled off one at a time.  The recursion is a branch and bound: a call
-with a cap returns the exact rank when it is below the cap and a lower
-bound at or above the cap otherwise.  Several components stop at the
-first one that reaches the cap.  A strongly connected graph asks each
-deletion only whether it beats the best found so far, and stops once
-the best meets its lower bound: at least 1, and at least the rank of
-any deletion, since rank never grows when a vertex is deleted.  Exact
-values and lower bounds are memoised apart, and the memo is capped by a
-ceiling (:class:`ArenaCeilingError` past it).
+:func:`rank` evaluates that recursion on vertex-subset bitmasks, taking
+components one at a time from the peel of :func:`.digraph.components`.
+The recursion is a branch and bound: a call with a cap returns the exact
+rank when it is below the cap and a lower bound at or above the cap
+otherwise.  Several components stop at the first one that reaches the
+cap.  A strongly connected graph asks each deletion only whether it
+beats the best found so far, and stops once the best meets its lower
+bound: at least 1, and at least the rank of any deletion, since rank
+never grows when a vertex is deleted.  Exact values and lower bounds are
+memoised apart, and the memo is capped by a ceiling
+(:class:`ArenaCeilingError` past it).
 
 Two games compute the same number.  In the plain shrinking game the
 thief repeatedly enters a nontrivial component and the cops delete one
@@ -31,9 +29,7 @@ backward induction.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .digraph import Digraph, iter_mask, mask_of, scc_memo
+from .digraph import Digraph, components, cyclic, iter_mask, scc_memo
 from .gamecore import (
     COPS,
     THIEF,
@@ -61,19 +57,6 @@ __all__ = [
 DEFAULT_RANK_CEILING = 1_000_000
 
 
-def _closure(v: int, adj: list[int], within: int) -> int:
-    """Vertices of ``within`` reachable from ``v`` along ``adj`` masks."""
-    todo = 1 << v
-    left = within & ~todo
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new = adj[low.bit_length() - 1] & left
-        left ^= new
-        todo |= new
-    return within & ~left
-
-
 class RankDepthError(RuntimeError):
     """The rank recursion ran past the interpreter's recursion limit."""
 
@@ -81,37 +64,18 @@ class RankDepthError(RuntimeError):
 class _RankMemo:
     """Branch-and-bound rank recursion memoised on vertex bitmasks.
 
-    ``succ[v]`` and ``pred[v]`` are the successor and predecessor masks
-    of ``v``.  ``exact`` maps a mask to its rank; ``lower`` maps a mask
-    whose rank is not known to the best lower bound proven for it.  The
-    two together may hold at most ``ceiling`` entries.
+    ``exact`` maps a mask to its rank; ``lower`` maps a mask whose rank
+    is not known to the best lower bound proven for it.  The two
+    together may hold at most ``ceiling`` entries.
     """
 
-    __slots__ = ("succ", "pred", "exact", "lower", "ceiling")
+    __slots__ = ("g", "exact", "lower", "ceiling")
 
     def __init__(self, g: Digraph, ceiling: int):
-        self.succ = [mask_of(g.successors(v)) for v in g.vertices()]
-        self.pred = [mask_of(g.predecessors(v)) for v in g.vertices()]
+        self.g = g
         self.exact: dict[int, int] = {0: 0}
         self.lower: dict[int, int] = {}
         self.ceiling = ceiling
-
-    def nontrivial_components(self, mask: int) -> Iterator[int]:
-        """Masks of the nontrivial strongly connected components of ``mask``.
-
-        The component of the lowest live vertex is its forward closure
-        cut down to the vertices that reach back; components are peeled
-        off one at a time, as the caller asks for them.
-        """
-        succ, pred = self.succ, self.pred
-        rest = mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            comp = _closure(v, pred, _closure(v, succ, rest))
-            rest ^= comp
-            if comp != low or succ[v] & low:
-                yield comp
 
     def _remember(self, mask: int, value: int, cap: int) -> int:
         """Memoise ``value`` as exact when below ``cap``, else as a lower bound."""
@@ -134,7 +98,10 @@ class _RankMemo:
         if known >= cap:
             return known
         best = 0
-        for comp in self.nontrivial_components(mask):
+        g = self.g
+        for comp in components(g, mask):
+            if not cyclic(g, comp):
+                continue
             if comp == mask:
                 break
             r = self.solve(comp, cap)

@@ -45,7 +45,7 @@ belongs to ``verify_certificate``.
 
 from __future__ import annotations
 
-from .digraph import Digraph, iter_mask
+from .digraph import Digraph, component, cyclic, iter_mask
 from .entgames import PursuitGame
 from .gamecore import COPS, THIEF, StrategyCertificate
 from .rank import ComebackGame, CPos
@@ -157,10 +157,9 @@ class _Translator:
             # forced materialization of the virtual cop under the thief
             return cmask | vb, vmask & ~vb, frames
 
-        free = self.full & ~(cmask | vmask)
-        dfree = self.game.decompose(free)
-        i = dfree.scc_of[v]
-        if i not in dfree.nontrivial:
+        g = self.game.g
+        free = component(g, v, self.full & ~(cmask | vmask))
+        if not cyclic(g, free):
             return cmask, vmask, frames  # skip while the thief drifts
 
         # deepest frame whose graph still contains the thief
@@ -169,15 +168,13 @@ class _Translator:
             m -= 1
         parent = frames[m].match if m >= 0 else self.game.initial_position()
 
-        dm = self.game.decompose(parent.mask)
-        j = dm.scc_of[v]
-        if j not in dm.nontrivial:
+        smask = component(g, v, parent.mask)
+        if not cyclic(g, smask):
             raise TranslationError(
                 f"matching broken: vertex {v} is free in a nontrivial component "
                 f"but trivial in the enclosing matched graph"
             )
-        smask = dm.component_masks[j]
-        if dfree.component_masks[i] & ~smask:
+        if free & ~smask:
             raise TranslationError(
                 f"matching broken: the thief's free component at vertex {v} "
                 f"leaks outside the enclosing matched component"
