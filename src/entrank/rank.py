@@ -29,7 +29,7 @@ backward induction.
 
 from __future__ import annotations
 
-from .digraph import Digraph, components, cyclic, iter_mask, scc_memo
+from .digraph import Digraph, components, iter_mask, scc_memo
 from .gamecore import (
     COPS,
     THIEF,
@@ -98,9 +98,10 @@ class _RankMemo:
         if known >= cap:
             return known
         best = 0
-        g = self.g
-        for comp in components(g, mask):
-            if not cyclic(g, comp):
+        succ = self.g.succ_masks
+        for comp in components(self.g, mask):
+            # ``cyclic(g, comp)``, inlined on rank's hot path
+            if not (comp & (comp - 1) or succ[comp.bit_length() - 1] & comp):
                 continue
             if comp == mask:
                 break
