@@ -1,8 +1,10 @@
 """Reports and certificates keep their bytes.
 
-The sha256 values below were taken from the outputs of an earlier
-release; a change that alters any of these bytes -- an SCC order, a move
-key, a JSON layout -- fails here instead of slipping through.
+The sha256 values below pin a theorem report with translation and the
+certificates of every game.  A change that alters any of these bytes --
+an SCC order, a move key, a JSON layout -- fails here instead of
+slipping through; one that means to alter them says so and records the
+new values.
 """
 
 import hashlib
