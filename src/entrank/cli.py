@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .corpus import FAMILIES, CorpusSpec, generate_corpus
-from .entgames import entanglement, solve_pursuit
+from .entgames import VARIANTS, entanglement
 from .gamecore import (
     COPS,
+    GAMES,
     ArenaCeilingError,
     GameResult,
     certificate_from_json,
@@ -41,7 +43,7 @@ from .gamecore import (
 from .graphio import GraphFormatError, load_graph, save_edge_list
 from .harness import VerificationReport, run_equivalence_suite, run_theorem_suite
 from .muterm import ParseError, analyze, parse as parse_term
-from .rank import RankDepthError, rank, solve_comeback_game, solve_rank_game
+from .rank import RankDepthError, rank, solve_comeback_game
 from .translate import TranslationError, translate_rank_strategy
 
 __all__ = ["main", "build_parser"]
@@ -56,6 +58,18 @@ def _load(path: str):
         return load_graph(path)
     except (OSError, GraphFormatError) as exc:
         raise SystemExit(f"error: cannot load graph {path!r}: {exc}")
+
+
+def _check_writable(path: str | None, what: str) -> None:
+    """Exit before the work if ``path`` cannot be written, leaving any file as it was."""
+    if path:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise SystemExit(f"error: cannot write {what} {path!r}: {exc}")
+        if not existed:
+            os.remove(path)
 
 
 def _write(path: str, text: str, what: str) -> None:
@@ -85,7 +99,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_GAME_VARIANTS = {"rank": ("shrink", "comeback"), "ent": ("ent", "et", "entv")}
+_GAME_VARIANTS = {"rank": ("shrink", "comeback"), "ent": VARIANTS}
 
 
 def cmd_game(args: argparse.Namespace) -> int:
@@ -98,13 +112,10 @@ def cmd_game(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
+    _check_writable(args.cert, "certificate")
     try:
-        if variant == "shrink":
-            result = solve_rank_game(g, args.k)
-        elif variant == "comeback":
-            result = solve_comeback_game(g, args.k)
-        else:
-            result = solve_pursuit(g, args.k, variant)
+        # the CLI's ``shrink`` variant is the game id ``rank``
+        result = GAMES["rank" if variant == "shrink" else variant].solve(g, args.k, None)
     except (ArenaCeilingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -130,6 +141,8 @@ def _verify_corpus(args: argparse.Namespace):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     corpus = _verify_corpus(args)
+    if args.json != "-":
+        _check_writable(args.json, "report")
     if args.suite == "theorem":
         report = run_theorem_suite(
             corpus, translate=args.translate, jobs=args.jobs, ceiling=args.ceiling
@@ -170,9 +183,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     out = Path(args.output)
-    graphs = generate_corpus(spec)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        graphs = generate_corpus(spec)
         for index, (graph_id, g) in enumerate(graphs):
             save_edge_list(g, out / f"{index:04d}-{graph_id}.edges", comment=graph_id)
     except OSError as exc:
@@ -203,6 +216,7 @@ def cmd_muterm(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     g = _load(args.graph)
+    _check_writable(args.cert, "certificate")
     try:
         k = args.k if args.k is not None else rank(g)
         # the translated pursuit game has at most one cop per vertex

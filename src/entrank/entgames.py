@@ -39,12 +39,15 @@ from .gamecore import (
     DEFAULT_POSITION_CEILING,
     THIEF,
     ArenaCeilingError,
+    GAMES,
     GameResult,
+    GameSpec,
     StrategyCertificate,
     least_winning_k,
 )
 
 __all__ = [
+    "VARIANTS",
     "PursuitGame",
     "solve_pursuit",
     "entanglement",
@@ -54,7 +57,8 @@ __all__ = [
 
 INIT = ("init",)
 
-_VARIANTS = ("ent", "et", "entv")
+#: the pursuit variants, which are also their game ids
+VARIANTS = ("ent", "et", "entv")
 
 
 def _submasks(m: int) -> list[int]:
@@ -79,7 +83,7 @@ class PursuitGame:
     finite_plays = False
 
     def __init__(self, g: Digraph, k: int, variant: str = "ent"):
-        if variant not in _VARIANTS:
+        if variant not in VARIANTS:
             raise ValueError(f"unknown pursuit variant {variant!r}")
         if not 0 <= k <= g.n:
             raise ValueError("cop count k must satisfy 0 <= k <= |V|")
@@ -338,3 +342,10 @@ def et_min_k(g: Digraph, ceiling: int | None = None) -> int:
 def entv_min_k(g: Digraph, ceiling: int | None = None) -> int:
     """Least winning cop count in the virtual-cop variant."""
     return least_winning_k(g, lambda k: solve_pursuit(g, k, "entv", ceiling))
+
+
+# the ceiling caps the arena ``solve_pursuit`` builds; a game instance has none
+for _v in VARIANTS:
+    GAMES[_v] = GameSpec(lambda g, k, ceiling, v=_v: PursuitGame(g, k, v),
+                         lambda g, k, ceiling, v=_v: solve_pursuit(g, k, v, ceiling),
+                         ("vertex", "cops", "virtual", "turn"))

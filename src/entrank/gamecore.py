@@ -32,6 +32,12 @@ Canonical move keys: ``("enter", vertices)``, ``("remove", v)``,
 ``("occupy", cop vertices, virtual cop vertices)`` (the resulting cop
 configuration).
 
+:data:`GAMES` maps each game id (``rank``, ``comeback``, ``ent``,
+``et``, ``entv``) to a :class:`GameSpec`: how to build and solve the
+game, and the JSON field names of its position keys.  :mod:`.rank` and
+:mod:`.entgames` register their games when imported; :func:`make_game`,
+the certificate JSON codec and the CLI look them up there.
+
 A :class:`StrategyCertificate` is a positional decision map for the
 winner.  ``verify_certificate`` never trusts it: the certified player is
 bound to the mapped moves while the opponent ranges over every legal
@@ -44,6 +50,7 @@ the thief wins).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, NamedTuple
 
 THIEF = "thief"
@@ -63,6 +70,8 @@ __all__ = [
     "extract_certificate",
     "least_winning_k",
     "verify_certificate",
+    "GameSpec",
+    "GAMES",
     "make_game",
     "certificate_to_json",
     "certificate_from_json",
@@ -117,21 +126,23 @@ class ReplayReport:
         return self.ok
 
 
+class GameSpec(NamedTuple):
+    """How to build, solve and write one game of :data:`GAMES`."""
+
+    build: Callable[..., Any]  # (g, k, ceiling) -> game instance
+    solve: Callable[..., GameResult]  # (g, k, ceiling) -> GameResult
+    fields: tuple[str, ...]  # JSON field names of a position key, in key order
+
+
+#: game id -> :class:`GameSpec`, filled in by the modules that define games
+GAMES: dict[str, GameSpec] = {}
+
+
 def make_game(g, game_id: str, k: int, ceiling: int | None = None):
-    """Instantiate the game named by its CLI identifier."""
-    if game_id == "rank":
-        from .rank import RankShrinkGame
-
-        return RankShrinkGame(g, k)
-    if game_id == "comeback":
-        from .rank import ComebackGame
-
-        return ComebackGame(g, k, ceiling=ceiling)
-    if game_id in ("ent", "et", "entv"):
-        from .entgames import PursuitGame
-
-        return PursuitGame(g, k, variant=game_id)
-    raise ValueError(f"unknown game id {game_id!r}")
+    """Instantiate the game named by its identifier in :data:`GAMES`."""
+    if game_id not in GAMES:
+        raise ValueError(f"unknown game id {game_id!r}")
+    return GAMES[game_id].build(g, k, ceiling)
 
 
 class _Frame:
@@ -369,108 +380,80 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
 
 # ---------------------------------------------------------------------------
 # JSON encoding of certificates
+#
+# Each key component is written under its field name: a position key
+# under its game's ``GameSpec.fields`` (the pursuit start ``("init",)``
+# as ``{"init": true}``), a move key ``(tag, *payload)`` under
+# ``_MOVE_FIELDS[tag]``.  Comeback keys nest, so each is written once into
+# the certificate's ``table`` (children as indices, ``comebacks``) and
+# named elsewhere by ``{"ref": index}``.
+
+#: move tag -> JSON field names of its payload
+_MOVE_FIELDS = {"enter": ("enter",), "remove": ("remove",), "comeback": ("comeback",),
+                "start": ("choose",), "to": ("to",), "occupy": ("cops", "virtual")}
+
+#: JSON field -> its kind: a vertex list (tuple), one table reference
+#: (dict), a list of table references (list), or an int or str
+_FIELD_KINDS = {"vertices": tuple, "cops": tuple, "virtual": tuple, "enter": tuple,
+                "comeback": dict, "comebacks": list, "turn": str, "vertex": int,
+                "counter": int, "remove": int, "choose": int, "to": int}
 
 
-def _pos_to_json(game_id: str, key, entry_ids) -> dict:
-    if game_id in ("ent", "et", "entv"):
-        if key == ("init",):
-            return {"init": True}
-        v, cops_t, vir_t, turn = key
-        return {
-            "vertex": v,
-            "cops": list(cops_t),
-            "virtual": list(vir_t),
-            "turn": turn,
-        }
-    if game_id == "rank":
-        verts, turn, n = key
-        return {"vertices": list(verts), "turn": turn, "counter": n}
-    if game_id == "comeback":
-        return {"ref": entry_ids[key]}
-    raise ValueError(f"unknown game id {game_id!r}")
+def _to_json(names, values, ids) -> dict:
+    obj = {}
+    for name, x in zip(names, values):
+        kind = _FIELD_KINDS[name]
+        obj[name] = (list(x) if kind is tuple else {"ref": ids[x]} if kind is dict
+                     else [ids[c] for c in x] if kind is list else x)
+    return obj
 
 
-def _move_to_json(game_id: str, mk, entry_ids) -> dict:
-    tag = mk[0]
-    if tag == "enter":
-        return {"enter": list(mk[1])}
-    if tag == "remove":
-        return {"remove": mk[1]}
-    if tag == "comeback":
-        return {"comeback": {"ref": entry_ids[mk[1]]}}
-    if tag == "start":
-        return {"choose": mk[1]}
-    if tag == "to":
-        return {"to": mk[1]}
-    if tag == "occupy":
-        return {"cops": list(mk[1]), "virtual": list(mk[2])}
-    raise ValueError(f"unknown move key {mk!r}")
-
-
-def _collect_entry(key, ids: dict, table: list) -> int:
-    got = ids.get(key)
-    if got is not None:
-        return got
-    verts, turn, n, children = key
-    child_ids = [_collect_entry(c, ids, table) for c in children]
-    i = len(table)
-    ids[key] = i
-    table.append(
-        {
-            "vertices": list(verts),
-            "turn": turn,
-            "counter": n,
-            "comebacks": child_ids,
-        }
-    )
-    return i
+def _collect_entry(key, fields, ids: dict, table: list) -> None:
+    if key not in ids:
+        for child in key[-1]:
+            _collect_entry(child, fields, ids, table)
+        ids[key] = len(table)
+        table.append(_to_json(fields, key, ids))
 
 
 def certificate_to_json(cert: StrategyCertificate) -> dict:
-    entry_ids: dict = {}
+    fields = GAMES[cert.game].fields
+    ids: dict = {}
     table: list = []
     ordered = sorted(cert.moves, key=repr)
-    if cert.game == "comeback":
-        for key in ordered:
-            _collect_entry(key, entry_ids, table)
-        for mk in cert.moves.values():
-            if mk[0] == "comeback":
-                _collect_entry(mk[1], entry_ids, table)
-    obj = {
-        "game": cert.game,
-        "k": cert.k,
-        "winner": cert.winner,
-        "moves": [
-            {
-                "position": _pos_to_json(cert.game, key, entry_ids),
-                "move": _move_to_json(cert.game, cert.moves[key], entry_ids),
-            }
-            for key in ordered
-        ],
-    }
-    if cert.game == "comeback":
+    tabled = "comebacks" in fields  # keys that nest go into the table
+    if tabled:
+        for key in ordered + [mk[1] for mk in cert.moves.values() if mk[0] == "comeback"]:
+            _collect_entry(key, fields, ids, table)
+    moves = []
+    for key in ordered:
+        if tabled:
+            pos = {"ref": ids[key]}
+        else:
+            pos = {"init": True} if key == ("init",) else _to_json(fields, key, ids)
+        mk = cert.moves[key]
+        moves.append({"position": pos, "move": _to_json(_MOVE_FIELDS[mk[0]], mk[1:], ids)})
+    obj = {"game": cert.game, "k": cert.k, "winner": cert.winner, "moves": moves}
+    if tabled:
         obj["table"] = table
     return obj
 
 
 def _field(obj, name: str, kind: type):
-    """``obj[name]``, which must be a ``kind``; else a ValueError naming it."""
+    """``obj[name]``, which must be a ``kind``; else a ValueError naming it.
+    The kind ``tuple`` asks for a list of vertices and returns a tuple."""
     if not isinstance(obj, dict) or name not in obj:
         raise ValueError(f"certificate JSON lacks the field {name!r}")
     value = obj[name]
-    if not isinstance(value, kind):
+    want = list if kind is tuple else kind
+    if not isinstance(value, want):
         raise ValueError(
-            f"certificate JSON field {name!r} is not a {kind.__name__}: {value!r}"
+            f"certificate JSON field {name!r} is not a {want.__name__}: {value!r}"
         )
-    return value
-
-
-def _vertices_field(obj, name: str) -> tuple[int, ...]:
-    value = _field(obj, name, list)
-    if not all(isinstance(v, int) for v in value):
-        raise ValueError(
-            f"certificate JSON field {name!r} is not a vertex list: {value!r}"
-        )
+    if kind is not tuple:
+        return value
+    if not all(map(isinstance, value, repeat(int))):
+        raise ValueError(f"certificate JSON field {name!r} is not a vertex list: {value!r}")
     return tuple(value)
 
 
@@ -480,42 +463,17 @@ def _entry(entry_keys: list, i, name: str):
     return entry_keys[i]
 
 
-def _pos_from_json(game_id: str, obj: dict, entry_keys):
-    if game_id in ("ent", "et", "entv"):
-        if obj.get("init"):
-            return ("init",)
-        return (
-            _field(obj, "vertex", int),
-            _vertices_field(obj, "cops"),
-            _vertices_field(obj, "virtual"),
-            _field(obj, "turn", str),
-        )
-    if game_id == "rank":
-        return (
-            _vertices_field(obj, "vertices"),
-            _field(obj, "turn", str),
-            _field(obj, "counter", int),
-        )
-    if game_id == "comeback":
-        return _entry(entry_keys, _field(obj, "ref", int), "ref")
-    raise ValueError(f"unknown game id {game_id!r}")
-
-
-def _move_from_json(game_id: str, obj: dict, entry_keys):
-    if "enter" in obj:
-        return ("enter", _vertices_field(obj, "enter"))
-    if "remove" in obj:
-        return ("remove", _field(obj, "remove", int))
-    if "comeback" in obj:
-        ref = _field(_field(obj, "comeback", dict), "ref", int)
-        return ("comeback", _entry(entry_keys, ref, "ref"))
-    if "choose" in obj:
-        return ("start", _field(obj, "choose", int))
-    if "to" in obj:
-        return ("to", _field(obj, "to", int))
-    if "cops" in obj:
-        return ("occupy", _vertices_field(obj, "cops"), _vertices_field(obj, "virtual"))
-    raise ValueError(f"cannot decode move {obj!r}")
+def _from_json(obj, names, entry_keys) -> tuple:
+    out = []
+    for name in names:
+        kind = _FIELD_KINDS[name]
+        value = _field(obj, name, kind)
+        if kind is dict:
+            value = _entry(entry_keys, _field(value, "ref", int), "ref")
+        elif kind is list:
+            value = tuple(sorted(_entry(entry_keys, i, name) for i in value))
+        out.append(value)
+    return tuple(out)
 
 
 def certificate_from_json(obj: dict) -> StrategyCertificate:
@@ -524,21 +482,29 @@ def certificate_from_json(obj: dict) -> StrategyCertificate:
     Malformed input raises ``ValueError`` naming the offending field.
     """
     game_id = _field(obj, "game", str)
+    if game_id not in GAMES:
+        raise ValueError(f"certificate JSON field 'game' names an unknown game id {game_id!r}")
+    fields = GAMES[game_id].fields
+    tabled = "comebacks" in fields
+    if "table" in obj and not tabled:
+        raise ValueError(f"certificate JSON field 'table' does not belong to a {game_id!r} certificate")
     entry_keys: list = []
-    for row in _field(obj, "table", list) if "table" in obj else ():
-        children = tuple(sorted(
-            _entry(entry_keys, i, "comebacks") for i in _field(row, "comebacks", list)
-        ))
-        entry_keys.append((
-            _vertices_field(row, "vertices"),
-            _field(row, "turn", str),
-            _field(row, "counter", int),
-            children,
-        ))
+    for row in _field(obj, "table", list) if tabled else ():
+        entry_keys.append(_from_json(row, fields, entry_keys))
     moves = {}
     for entry in _field(obj, "moves", list):
-        key = _pos_from_json(game_id, _field(entry, "position", dict), entry_keys)
-        moves[key] = _move_from_json(game_id, _field(entry, "move", dict), entry_keys)
+        pos = _field(entry, "position", dict)
+        if tabled:
+            key = _entry(entry_keys, _field(pos, "ref", int), "ref")
+        else:
+            key = ("init",) if pos.get("init") else _from_json(pos, fields, entry_keys)
+        mv = _field(entry, "move", dict)
+        for tag, names in _MOVE_FIELDS.items():
+            if names[0] in mv:
+                break
+        else:
+            raise ValueError(f"cannot decode move {mv!r}")
+        moves[key] = (tag, *_from_json(mv, names, entry_keys))
     return StrategyCertificate(
         game_id, _field(obj, "k", int), _field(obj, "winner", str), moves
     )

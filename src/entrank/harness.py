@@ -38,7 +38,7 @@ from typing import Sequence, Union
 
 from .corpus import CorpusSpec
 from .digraph import Digraph
-from .entgames import entanglement, solve_pursuit
+from .entgames import VARIANTS, entanglement, solve_pursuit
 from .gamecore import COPS, ArenaCeilingError, StrategyCertificate, verify_certificate
 from .rank import (
     RankDepthError,
@@ -278,7 +278,7 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
     lift: dict[str, StrategyCertificate] = {}  # cops certificate at the least k
     for k in range(g.n + 1):
         winners = {}
-        for variant in ("ent", "et", "entv"):
+        for variant in VARIANTS:
             cert = lift.get(variant)
             if cert is not None and verify_certificate(
                 g, variant, k, StrategyCertificate(variant, k, COPS, cert.moves),
@@ -298,10 +298,8 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
                 lift.setdefault(variant, res.certificate)
         if len(set(winners.values())) > 1:
             rec.failures.append(f"variant winners disagree at k={k}: {winners}")
-    first_win = {v: lift[v].k if v in lift else None for v in ("ent", "et", "entv")}
-    rec.ent_k = first_win["ent"]
-    rec.et_k = first_win["et"]
-    rec.entv_k = first_win["entv"]
+    first_win = {v: lift[v].k if v in lift else None for v in VARIANTS}
+    rec.ent_k, rec.et_k, rec.entv_k = first_win.values()
     rec.entanglement = rec.ent_k
     if len({v for v in first_win.values() if v is not None}) > 1:
         rec.failures.append(f"variant min-k values disagree: {first_win}")

@@ -33,8 +33,10 @@ from .digraph import Digraph, components, iter_mask, scc_memo
 from .gamecore import (
     COPS,
     THIEF,
+    GAMES,
     ArenaCeilingError,
     GameResult,
+    GameSpec,
     least_winning_k,
     solve_finite_game,
 )
@@ -367,3 +369,11 @@ def solve_comeback_game(g: Digraph, k: int, ceiling: int | None = None) -> GameR
 def comeback_min_k(g: Digraph, ceiling: int | None = None) -> int:
     """Least budget with which the cops win the comeback game."""
     return least_winning_k(g, lambda k: solve_comeback_game(g, k, ceiling=ceiling))
+
+
+# the shrink game has no position ceiling: ``ceiling`` goes unused
+GAMES["rank"] = GameSpec(lambda g, k, ceiling: RankShrinkGame(g, k),
+                         lambda g, k, ceiling: solve_rank_game(g, k),
+                         ("vertices", "turn", "counter"))
+GAMES["comeback"] = GameSpec(ComebackGame, solve_comeback_game,
+                             ("vertices", "turn", "counter", "comebacks"))

@@ -11,6 +11,7 @@ from entrank.digraph import Digraph, mask_of
 from entrank.entgames import solve_pursuit
 from entrank.gamecore import (
     COPS,
+    GAMES,
     THIEF,
     StrategyCertificate,
     certificate_from_json,
@@ -18,7 +19,7 @@ from entrank.gamecore import (
     make_game,
     verify_certificate,
 )
-from entrank.rank import solve_comeback_game, solve_rank_game
+from entrank.rank import solve_rank_game
 
 from conftest import dg, dicycle_edges, random_edges, ucycle_edges
 from oracles import replay_by_moves
@@ -27,11 +28,7 @@ ALL_GAMES = ("rank", "comeback", "ent", "et", "entv")
 
 
 def _solve(g, game_id, k):
-    if game_id == "rank":
-        return solve_rank_game(g, k)
-    if game_id == "comeback":
-        return solve_comeback_game(g, k)
-    return solve_pursuit(g, k, variant=game_id)
+    return GAMES[game_id].solve(g, k, None)
 
 
 @pytest.mark.parametrize("game_id", ALL_GAMES)
@@ -123,9 +120,11 @@ def test_overclaiming_winner_fails_replay():
         ("ent", lambda o: o["moves"][0]["position"].update(cops=5), "cops"),
         ("comeback", lambda o: o["moves"][0]["position"].update(ref=99), "ref"),
         ("comeback", lambda o: o["table"][0]["comebacks"].append(99), "comebacks"),
+        ("ent", lambda o: o.update(game="nope", moves=[]), "game"),
+        ("ent", lambda o: o.update(table=[]), "table"),
     ],
     ids=["empty", "no-moves", "no-cops", "cops-not-a-list", "ref-out-of-range",
-         "comebacks-out-of-range"],
+         "comebacks-out-of-range", "unknown-game", "table-on-ent"],
 )
 def test_malformed_json_names_the_field(game_id, mutate, field):
     g = dg(3, dicycle_edges(3))

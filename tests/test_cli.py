@@ -14,6 +14,7 @@ import pytest
 
 import entrank
 from entrank import cli
+from entrank.gamecore import GAMES
 
 
 @pytest.fixture
@@ -161,6 +162,10 @@ def test_verify_rejects_bad_usage(run, dicycle_file):
     assert rc == 2 and "not both" in err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the work started before the output path was checked")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -171,12 +176,36 @@ def test_verify_rejects_bad_usage(run, dicycle_file):
     ],
     ids=["game-cert", "translate-cert", "verify-json", "gen-onto-a-file"],
 )
-def test_unwritable_output_exits_2(run, dicycle_file, tmp_path, argv):
+def test_unwritable_output_exits_2(run, dicycle_file, tmp_path, monkeypatch, argv):
+    # the solvers and suites refuse to run: the path is checked first
+    monkeypatch.setitem(GAMES, "rank", GAMES["rank"]._replace(solve=_refuse))
+    for name in ("rank", "solve_comeback_game", "run_equivalence_suite", "generate_corpus"):
+        monkeypatch.setattr(cli, name, _refuse)
     missing = tmp_path / "missing" / "dir"
     rc, _, err = run(*(a.format(graph=dicycle_file, missing=missing) for a in argv))
     assert rc == 2
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, want_rc",
+    [
+        (("game", "ent", "{graph}", "-k", "9", "--cert", "{out}"), 2),
+        (("translate", "{graph}", "-k", "0", "--cert", "{out}"), 1),
+    ],
+    ids=["game-bad-k", "translate-thief-wins"],
+)
+def test_failed_run_leaves_output_path_as_it_was(run, dicycle_file, tmp_path, argv, want_rc):
+    out = tmp_path / "out.json"
+    args = [a.format(graph=dicycle_file, out=out) for a in argv]
+    # the path is checked before the run fails: no file is left behind ...
+    assert run(*args)[0] == want_rc
+    assert not out.exists()
+    # ... and an existing file keeps its bytes
+    out.write_text("old")
+    assert run(*args)[0] == want_rc
+    assert out.read_text() == "old"
 
 
 def test_gen_writes_corpus(run, tmp_path):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from entrank.gamecore import make_game
+from entrank.gamecore import GAMES, make_game
 
 from conftest import dg, random_edges
 
@@ -39,6 +39,15 @@ def _key_fits(game, pos, mk, q) -> bool:
     if tag == "comeback":
         return dst == mk[1] and dst in src[3]
     return False
+
+
+def test_game_table_builds_every_game_id():
+    assert sorted(GAMES) == ["comeback", "ent", "entv", "et", "rank"]
+    g = dg(3, [(0, 1), (1, 2), (2, 0)])
+    for game_id in GAMES:
+        assert make_game(g, game_id, 0).game_id == game_id
+    with pytest.raises(ValueError, match="unknown game id 'nope'"):
+        make_game(g, "nope", 0)
 
 
 @pytest.mark.parametrize("game_id", ("rank", "comeback", "ent", "et", "entv"))
