@@ -63,13 +63,14 @@ def _load(path: str):
 def _check_writable(path: str | None, what: str) -> None:
     """Exit before the work if ``path`` cannot be written, leaving any file as it was."""
     if path:
-        existed = os.path.lexists(path)
+        existed = os.path.exists(path)  # follows a symlink to its target
         try:
             open(path, "a").close()
         except OSError as exc:
             raise SystemExit(f"error: cannot write {what} {path!r}: {exc}")
         if not existed:
-            os.remove(path)
+            # the probe made the file: ``path``, or the target of a dangling link
+            os.remove(os.path.realpath(path))
 
 
 def _write(path: str, text: str, what: str) -> None:
@@ -115,7 +116,7 @@ def cmd_game(args: argparse.Namespace) -> int:
     _check_writable(args.cert, "certificate")
     try:
         # the CLI's ``shrink`` variant is the game id ``rank``
-        result = GAMES["rank" if variant == "shrink" else variant].solve(g, args.k, None)
+        result = GAMES["rank" if variant == "shrink" else variant].solve(g, args.k)
     except (ArenaCeilingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

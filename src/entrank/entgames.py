@@ -344,8 +344,8 @@ def entv_min_k(g: Digraph, ceiling: int | None = None) -> int:
     return least_winning_k(g, lambda k: solve_pursuit(g, k, "entv", ceiling))
 
 
-# the ceiling caps the arena ``solve_pursuit`` builds; a game instance has none
+# a game instance takes no ceiling
 for _v in VARIANTS:
     GAMES[_v] = GameSpec(lambda g, k, ceiling, v=_v: PursuitGame(g, k, v),
-                         lambda g, k, ceiling, v=_v: solve_pursuit(g, k, v, ceiling),
-                         ("vertex", "cops", "virtual", "turn"))
+                         lambda g, k, v=_v: solve_pursuit(g, k, v),
+                         ("vertex", "cops", "virtual", "turn"), init=INIT)

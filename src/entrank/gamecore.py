@@ -130,8 +130,13 @@ class GameSpec(NamedTuple):
     """How to build, solve and write one game of :data:`GAMES`."""
 
     build: Callable[..., Any]  # (g, k, ceiling) -> game instance
-    solve: Callable[..., GameResult]  # (g, k, ceiling) -> GameResult
+    solve: Callable[..., GameResult]  # (g, k) -> GameResult
     fields: tuple[str, ...]  # JSON field names of a position key, in key order
+    #: position keys nest (the last component holds child keys), so each
+    #: is written once into the certificate's ``table``
+    tabled: bool = False
+    #: the position key written as ``{"init": true}`` instead of by ``fields``
+    init: tuple | None = None
 
 
 #: game id -> :class:`GameSpec`, filled in by the modules that define games
@@ -382,20 +387,21 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
 # JSON encoding of certificates
 #
 # Each key component is written under its field name: a position key
-# under its game's ``GameSpec.fields`` (the pursuit start ``("init",)``
-# as ``{"init": true}``), a move key ``(tag, *payload)`` under
-# ``_MOVE_FIELDS[tag]``.  Comeback keys nest, so each is written once into
-# the certificate's ``table`` (children as indices, ``comebacks``) and
-# named elsewhere by ``{"ref": index}``.
+# under its game's ``GameSpec.fields`` (or as ``{"init": true}`` when it is
+# the game's ``init``), a move key ``(tag, *payload)`` under
+# ``_MOVE_FIELDS[tag]``.  The keys of a ``tabled`` game nest, so each is
+# written once into the certificate's ``table`` (children as indices,
+# ``comebacks``) and named elsewhere by ``{"ref": index}``.
 
 #: move tag -> JSON field names of its payload
 _MOVE_FIELDS = {"enter": ("enter",), "remove": ("remove",), "comeback": ("comeback",),
                 "start": ("choose",), "to": ("to",), "occupy": ("cops", "virtual")}
 
-#: JSON field -> its kind: a vertex list (tuple), one table reference
-#: (dict), a list of table references (list), or an int or str
-_FIELD_KINDS = {"vertices": tuple, "cops": tuple, "virtual": tuple, "enter": tuple,
-                "comeback": dict, "comebacks": list, "turn": str, "vertex": int,
+#: JSON field -> how it is written: "verts" (a list of vertices), "ref"
+#: (``{"ref": i}``, one table entry), "refs" (a list of table entries), or
+#: the type of a plain int or str
+_FIELD_KINDS = {"vertices": "verts", "cops": "verts", "virtual": "verts", "enter": "verts",
+                "comeback": "ref", "comebacks": "refs", "turn": str, "vertex": int,
                 "counter": int, "remove": int, "choose": int, "to": int}
 
 
@@ -403,58 +409,63 @@ def _to_json(names, values, ids) -> dict:
     obj = {}
     for name, x in zip(names, values):
         kind = _FIELD_KINDS[name]
-        obj[name] = (list(x) if kind is tuple else {"ref": ids[x]} if kind is dict
-                     else [ids[c] for c in x] if kind is list else x)
+        if kind == "verts":
+            x = list(x)
+        elif kind == "ref":
+            x = {"ref": ids[x]}
+        elif kind == "refs":
+            x = [ids[c] for c in x]
+        obj[name] = x
     return obj
 
 
 def _collect_entry(key, fields, ids: dict, table: list) -> None:
-    if key not in ids:
-        for child in key[-1]:
-            _collect_entry(child, fields, ids, table)
-        ids[key] = len(table)
-        table.append(_to_json(fields, key, ids))
+    """Write ``key`` into ``table`` after its children, once."""
+    if key in ids:
+        return
+    for child in key[-1]:
+        _collect_entry(child, fields, ids, table)
+    ids[key] = len(table)
+    table.append(_to_json(fields, key, ids))
 
 
 def certificate_to_json(cert: StrategyCertificate) -> dict:
-    fields = GAMES[cert.game].fields
+    spec = GAMES[cert.game]
     ids: dict = {}
     table: list = []
     ordered = sorted(cert.moves, key=repr)
-    tabled = "comebacks" in fields  # keys that nest go into the table
-    if tabled:
-        for key in ordered + [mk[1] for mk in cert.moves.values() if mk[0] == "comeback"]:
-            _collect_entry(key, fields, ids, table)
+    if spec.tabled:
+        for key in ordered:
+            _collect_entry(key, spec.fields, ids, table)
+        for mk in cert.moves.values():
+            if mk[0] == "comeback":
+                _collect_entry(mk[1], spec.fields, ids, table)
     moves = []
     for key in ordered:
-        if tabled:
+        if spec.tabled:
             pos = {"ref": ids[key]}
+        elif key == spec.init:
+            pos = {"init": True}
         else:
-            pos = {"init": True} if key == ("init",) else _to_json(fields, key, ids)
+            pos = _to_json(spec.fields, key, ids)
         mk = cert.moves[key]
         moves.append({"position": pos, "move": _to_json(_MOVE_FIELDS[mk[0]], mk[1:], ids)})
     obj = {"game": cert.game, "k": cert.k, "winner": cert.winner, "moves": moves}
-    if tabled:
+    if spec.tabled:
         obj["table"] = table
     return obj
 
 
 def _field(obj, name: str, kind: type):
-    """``obj[name]``, which must be a ``kind``; else a ValueError naming it.
-    The kind ``tuple`` asks for a list of vertices and returns a tuple."""
+    """``obj[name]``, which must be a ``kind``; else a ValueError naming it."""
     if not isinstance(obj, dict) or name not in obj:
         raise ValueError(f"certificate JSON lacks the field {name!r}")
     value = obj[name]
-    want = list if kind is tuple else kind
-    if not isinstance(value, want):
+    if not isinstance(value, kind):
         raise ValueError(
-            f"certificate JSON field {name!r} is not a {want.__name__}: {value!r}"
+            f"certificate JSON field {name!r} is not a {kind.__name__}: {value!r}"
         )
-    if kind is not tuple:
-        return value
-    if not all(map(isinstance, value, repeat(int))):
-        raise ValueError(f"certificate JSON field {name!r} is not a vertex list: {value!r}")
-    return tuple(value)
+    return value
 
 
 def _entry(entry_keys: list, i, name: str):
@@ -467,11 +478,17 @@ def _from_json(obj, names, entry_keys) -> tuple:
     out = []
     for name in names:
         kind = _FIELD_KINDS[name]
-        value = _field(obj, name, kind)
-        if kind is dict:
-            value = _entry(entry_keys, _field(value, "ref", int), "ref")
-        elif kind is list:
-            value = tuple(sorted(_entry(entry_keys, i, name) for i in value))
+        if kind == "verts":
+            value = _field(obj, name, list)
+            if not all(map(isinstance, value, repeat(int))):
+                raise ValueError(f"certificate JSON field {name!r} is not a vertex list: {value!r}")
+            value = tuple(value)
+        elif kind == "ref":
+            value = _entry(entry_keys, _field(_field(obj, name, dict), "ref", int), "ref")
+        elif kind == "refs":
+            value = tuple(sorted(_entry(entry_keys, i, name) for i in _field(obj, name, list)))
+        else:
+            value = _field(obj, name, kind)
         out.append(value)
     return tuple(out)
 
@@ -484,20 +501,21 @@ def certificate_from_json(obj: dict) -> StrategyCertificate:
     game_id = _field(obj, "game", str)
     if game_id not in GAMES:
         raise ValueError(f"certificate JSON field 'game' names an unknown game id {game_id!r}")
-    fields = GAMES[game_id].fields
-    tabled = "comebacks" in fields
-    if "table" in obj and not tabled:
+    spec = GAMES[game_id]
+    if "table" in obj and not spec.tabled:
         raise ValueError(f"certificate JSON field 'table' does not belong to a {game_id!r} certificate")
     entry_keys: list = []
-    for row in _field(obj, "table", list) if tabled else ():
-        entry_keys.append(_from_json(row, fields, entry_keys))
+    for row in _field(obj, "table", list) if spec.tabled else ():
+        entry_keys.append(_from_json(row, spec.fields, entry_keys))
     moves = {}
     for entry in _field(obj, "moves", list):
         pos = _field(entry, "position", dict)
-        if tabled:
+        if spec.tabled:
             key = _entry(entry_keys, _field(pos, "ref", int), "ref")
+        elif spec.init is not None and pos.get("init"):
+            key = spec.init
         else:
-            key = ("init",) if pos.get("init") else _from_json(pos, fields, entry_keys)
+            key = _from_json(pos, spec.fields, entry_keys)
         mv = _field(entry, "move", dict)
         for tag, names in _MOVE_FIELDS.items():
             if names[0] in mv:

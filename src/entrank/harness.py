@@ -299,7 +299,9 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
         if len(set(winners.values())) > 1:
             rec.failures.append(f"variant winners disagree at k={k}: {winners}")
     first_win = {v: lift[v].k if v in lift else None for v in VARIANTS}
-    rec.ent_k, rec.et_k, rec.entv_k = first_win.values()
+    rec.ent_k = first_win["ent"]
+    rec.et_k = first_win["et"]
+    rec.entv_k = first_win["entv"]
     rec.entanglement = rec.ent_k
     if len({v for v in first_win.values() if v is not None}) > 1:
         rec.failures.append(f"variant min-k values disagree: {first_win}")

@@ -372,8 +372,7 @@ def comeback_min_k(g: Digraph, ceiling: int | None = None) -> int:
 
 
 # the shrink game has no position ceiling: ``ceiling`` goes unused
-GAMES["rank"] = GameSpec(lambda g, k, ceiling: RankShrinkGame(g, k),
-                         lambda g, k, ceiling: solve_rank_game(g, k),
+GAMES["rank"] = GameSpec(lambda g, k, ceiling: RankShrinkGame(g, k), solve_rank_game,
                          ("vertices", "turn", "counter"))
 GAMES["comeback"] = GameSpec(ComebackGame, solve_comeback_game,
-                             ("vertices", "turn", "counter", "comebacks"))
+                             ("vertices", "turn", "counter", "comebacks"), tabled=True)

@@ -28,7 +28,7 @@ ALL_GAMES = ("rank", "comeback", "ent", "et", "entv")
 
 
 def _solve(g, game_id, k):
-    return GAMES[game_id].solve(g, k, None)
+    return GAMES[game_id].solve(g, k)
 
 
 @pytest.mark.parametrize("game_id", ALL_GAMES)
@@ -122,9 +122,10 @@ def test_overclaiming_winner_fails_replay():
         ("comeback", lambda o: o["table"][0]["comebacks"].append(99), "comebacks"),
         ("ent", lambda o: o.update(game="nope", moves=[]), "game"),
         ("ent", lambda o: o.update(table=[]), "table"),
+        ("rank", lambda o: o["moves"][0].update(position={"init": True}), "vertices"),
     ],
     ids=["empty", "no-moves", "no-cops", "cops-not-a-list", "ref-out-of-range",
-         "comebacks-out-of-range", "unknown-game", "table-on-ent"],
+         "comebacks-out-of-range", "unknown-game", "table-on-ent", "init-on-rank"],
 )
 def test_malformed_json_names_the_field(game_id, mutate, field):
     g = dg(3, dicycle_edges(3))

@@ -206,6 +206,12 @@ def test_failed_run_leaves_output_path_as_it_was(run, dicycle_file, tmp_path, ar
     out.write_text("old")
     assert run(*args)[0] == want_rc
     assert out.read_text() == "old"
+    # ... and a dangling symlink stays dangling
+    out.unlink()
+    target = tmp_path / "target.json"
+    out.symlink_to(target)
+    assert run(*args)[0] == want_rc
+    assert out.is_symlink() and not target.exists()
 
 
 def test_gen_writes_corpus(run, tmp_path):
