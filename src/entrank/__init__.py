@@ -8,20 +8,14 @@ between the games, and verifies ``entanglement(G) <= rank(G)``
 empirically over reproducible corpora.
 
 Everything is exponential-time by nature and tuned for graphs of desk
-scale (a handful of vertices); solvers guard themselves with position
-ceilings and raise :class:`~entrank.gamecore.ArenaCeilingError` rather
-than grind unbounded.
+scale (a handful of vertices); every walk that stores game positions
+(solve, replay, translation) counts them against a ceiling and raises
+:class:`~entrank.gamecore.ArenaCeilingError` rather than grind unbounded.
 """
 
 from .corpus import CorpusSpec, FAMILIES, family_graph, generate_corpus
 from .digraph import Digraph, SccDecomposition, scc_decompose
-from .entgames import (
-    PursuitGame,
-    entanglement,
-    entv_min_k,
-    et_min_k,
-    solve_pursuit,
-)
+from .entgames import PursuitGame, entanglement, solve_pursuit
 from .gamecore import (
     COPS,
     THIEF,
@@ -31,6 +25,7 @@ from .gamecore import (
     StrategyCertificate,
     certificate_from_json,
     certificate_to_json,
+    least_winning_k,
     make_game,
     solve_finite_game,
     verify_certificate,
@@ -62,9 +57,7 @@ from .rank import (
     ComebackGame,
     RankDepthError,
     RankShrinkGame,
-    comeback_min_k,
     rank,
-    rank_via_game,
     solve_comeback_game,
     solve_rank_game,
 )
@@ -89,14 +82,10 @@ __all__ = [
     "ComebackGame",
     "solve_rank_game",
     "solve_comeback_game",
-    "rank_via_game",
-    "comeback_min_k",
     # pursuit games
     "PursuitGame",
     "solve_pursuit",
     "entanglement",
-    "et_min_k",
-    "entv_min_k",
     # game plumbing
     "COPS",
     "THIEF",
@@ -105,6 +94,7 @@ __all__ = [
     "ReplayReport",
     "ArenaCeilingError",
     "make_game",
+    "least_winning_k",
     "solve_finite_game",
     "verify_certificate",
     "certificate_to_json",

@@ -232,10 +232,13 @@ def cmd_translate(args: argparse.Namespace) -> int:
         return EXIT_VIOLATIONS
     try:
         cert = translate_rank_strategy(g, res.certificate)
+        replay = verify_certificate(g, "entv", k, cert)
+    except ArenaCeilingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except TranslationError as exc:
         print(f"FAIL translation at k={k}: {exc}")
         return EXIT_VIOLATIONS
-    replay = verify_certificate(g, "entv", k, cert)
     if not replay.ok:
         print(f"FAIL translated certificate rejected at k={k}: {replay.reason}")
         return EXIT_VIOLATIONS
@@ -322,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ceiling",
         type=int,
         default=None,
-        help="cap on each game arena's positions and on the rank memo's entries",
+        help="cap on the positions of each solve, replay and translation, "
+        "and on the rank memo's entries",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -32,11 +32,11 @@ than naming every legal move to find the recorded one.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 
 from .digraph import Digraph, iter_mask, mask_of
 from .gamecore import (
     COPS,
-    DEFAULT_POSITION_CEILING,
     THIEF,
     ArenaCeilingError,
     GAMES,
@@ -44,6 +44,7 @@ from .gamecore import (
     GameSpec,
     StrategyCertificate,
     least_winning_k,
+    position_limit,
 )
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "PursuitGame",
     "solve_pursuit",
     "entanglement",
-    "et_min_k",
-    "entv_min_k",
 ]
 
 INIT = ("init",)
@@ -217,7 +216,7 @@ def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
                   ceiling: int | None = None) -> GameResult:
     """Exact winner of the chosen pursuit variant, with a certificate."""
     game = PursuitGame(g, k, variant)
-    limit = DEFAULT_POSITION_CEILING if ceiling is None else ceiling
+    limit = position_limit(ceiling)
 
     # breadth-first arena enumeration into flat CSR arrays
     positions: list = [INIT]
@@ -331,21 +330,12 @@ def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
 
 def entanglement(g: Digraph, ceiling: int | None = None) -> int:
     """Least number of cops that wins the plain pursuit game on ``g``."""
-    return least_winning_k(g, lambda k: solve_pursuit(g, k, "ent", ceiling))
+    return least_winning_k(g, "ent", ceiling)
 
 
-def et_min_k(g: Digraph, ceiling: int | None = None) -> int:
-    """Least winning cop count in the retirement variant."""
-    return least_winning_k(g, lambda k: solve_pursuit(g, k, "et", ceiling))
-
-
-def entv_min_k(g: Digraph, ceiling: int | None = None) -> int:
-    """Least winning cop count in the virtual-cop variant."""
-    return least_winning_k(g, lambda k: solve_pursuit(g, k, "entv", ceiling))
-
-
-# a game instance takes no ceiling
 for _v in VARIANTS:
-    GAMES[_v] = GameSpec(lambda g, k, ceiling, v=_v: PursuitGame(g, k, v),
-                         lambda g, k, v=_v: solve_pursuit(g, k, v),
+    # ``solve_pursuit`` is looked up at each call, so a wrapper installed on
+    # this module (the benchmark's tracer) also sees calls through the table
+    GAMES[_v] = GameSpec(partial(PursuitGame, variant=_v),
+                         lambda g, k, ceiling=None, v=_v: solve_pursuit(g, k, v, ceiling),
                          ("vertex", "cops", "virtual", "turn"), init=INIT)

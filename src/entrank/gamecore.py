@@ -38,6 +38,11 @@ game, and the JSON field names of its position keys.  :mod:`.rank` and
 :mod:`.entgames` register their games when imported; :func:`make_game`,
 the certificate JSON codec and the CLI look them up there.
 
+Game objects do not count positions; the walks that store them do.
+Solving, replay and strategy translation each take one ``ceiling``
+(default :data:`DEFAULT_POSITION_CEILING`, read at the call) and raise
+:class:`ArenaCeilingError` once they would store more positions.
+
 A :class:`StrategyCertificate` is a positional decision map for the
 winner.  ``verify_certificate`` never trusts it: the certified player is
 bound to the mapped moves while the opponent ranges over every legal
@@ -62,6 +67,7 @@ __all__ = [
     "THIEF",
     "COPS",
     "DEFAULT_POSITION_CEILING",
+    "position_limit",
     "ArenaCeilingError",
     "StrategyCertificate",
     "GameResult",
@@ -76,6 +82,11 @@ __all__ = [
     "certificate_to_json",
     "certificate_from_json",
 ]
+
+
+def position_limit(ceiling: int | None) -> int:
+    """``ceiling``, or :data:`DEFAULT_POSITION_CEILING` as it is now."""
+    return DEFAULT_POSITION_CEILING if ceiling is None else ceiling
 
 
 class ArenaCeilingError(RuntimeError):
@@ -129,8 +140,8 @@ class ReplayReport:
 class GameSpec(NamedTuple):
     """How to build, solve and write one game of :data:`GAMES`."""
 
-    build: Callable[..., Any]  # (g, k, ceiling) -> game instance
-    solve: Callable[..., GameResult]  # (g, k) -> GameResult
+    build: Callable[..., Any]  # (g, k) -> game instance
+    solve: Callable[..., GameResult]  # (g, k, ceiling=None) -> GameResult
     fields: tuple[str, ...]  # JSON field names of a position key, in key order
     #: position keys nest (the last component holds child keys), so each
     #: is written once into the certificate's ``table``
@@ -143,11 +154,11 @@ class GameSpec(NamedTuple):
 GAMES: dict[str, GameSpec] = {}
 
 
-def make_game(g, game_id: str, k: int, ceiling: int | None = None):
+def make_game(g, game_id: str, k: int):
     """Instantiate the game named by its identifier in :data:`GAMES`."""
     if game_id not in GAMES:
         raise ValueError(f"unknown game id {game_id!r}")
-    return GAMES[game_id].build(g, k, ceiling)
+    return GAMES[game_id].build(g, k)
 
 
 class _Frame:
@@ -159,12 +170,15 @@ class _Frame:
         self.i = 0
 
 
-def solve_finite_game(game) -> GameResult:
+def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
     """Backward induction for games whose plays are all finite.
 
     Returns the winner from the initial position together with a
     positional certificate extracted from the evaluated value table.
+    Raises :class:`ArenaCeilingError` when the table would hold more than
+    ``ceiling`` positions (see :func:`position_limit`).
     """
+    limit = position_limit(ceiling)
     memo: dict[Any, bool] = {}  # memo_key -> cops win?
     onstack: set[Any] = set()
     init = game.initial_position()
@@ -205,6 +219,9 @@ def solve_finite_game(game) -> GameResult:
                 result = False
                 break
         if descend is not None:
+            # every position on the stack ends up in the memo
+            if len(memo) + len(stack) >= limit:
+                raise ArenaCeilingError(game.game_id, limit)
             stack.append(_Frame(descend))
             onstack.add(game.memo_key(descend))
             continue
@@ -260,10 +277,11 @@ def extract_certificate(game, winner: str, value: Callable[[Any], str | None]) -
     return StrategyCertificate(game.game_id, game.k, winner, moves)
 
 
-def least_winning_k(g, solve: Callable[[int], GameResult]) -> int:
-    """Least ``k`` in ``0 .. g.n`` at which ``solve(k)`` is a cops win."""
+def least_winning_k(g, game_id: str, ceiling: int | None = None) -> int:
+    """Least ``k`` in ``0 .. g.n`` at which the cops win game ``game_id``."""
+    solve = GAMES[game_id].solve
     for k in range(g.n + 1):
-        if solve(k).winner == COPS:
+        if solve(g, k, ceiling).winner == COPS:
             return k
     raise AssertionError("cops always win once k covers every vertex")
 
@@ -276,13 +294,16 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
     ``game.play``; all other moves are branched over ``successors``
     without being named.  The walk fails on a missing or illegal mapped
     move, on any play won by the opponent, and (unless infinite plays
-    favour the owner) on a reachable cycle.
+    favour the owner) on a reachable cycle.  Raises
+    :class:`ArenaCeilingError` when the walk would store more than
+    ``ceiling`` positions (see :func:`position_limit`).
     """
     if cert.game != game_id:
         return ReplayReport(False, f"certificate is for game {cert.game!r}, not {game_id!r}")
     if cert.k != k:
         return ReplayReport(False, f"certificate is for k={cert.k}, not k={k}")
-    game = make_game(g, game_id, k, ceiling)
+    game = make_game(g, game_id, k)
+    limit = position_limit(ceiling)
     winner = cert.winner
     if winner not in (THIEF, COPS):
         return ReplayReport(False, f"unknown winner tag {winner!r}")
@@ -342,6 +363,8 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
             j = index.get(qkey)
             if j is None:
                 j = len(nodes)
+                if j >= limit:
+                    raise ArenaCeilingError(game_id, limit)
                 index[qkey] = j
                 nodes.append(q)
                 parent[j] = i

@@ -16,10 +16,12 @@ Two suites, both returning a :class:`VerificationReport`:
 
 Suites parallelise across graphs only (``jobs``); per-graph work is
 sequential and results are merged in corpus order, so reports are a
-deterministic function of the corpus spec.  ``ceiling`` caps every game
-arena's positions and the rank memo's entries; a tripped ceiling, or
-a rank recursion past the interpreter's recursion limit, becomes a
-*skip*, listed in the report rather than dropped; every
+deterministic function of the corpus spec.  ``ceiling`` caps the
+positions of every arena walk (solve, replay, translation) and the rank
+memo's entries; a tripped ceiling, or a rank recursion past the
+interpreter's recursion limit, becomes a *skip*, listed in the report
+rather than dropped (a lifted replay that trips it falls back to
+solving); every
 failure message embeds enough detail to replay it (the record carries
 the graph, the message carries ``k`` and the reason).
 
@@ -39,14 +41,14 @@ from typing import Sequence, Union
 from .corpus import CorpusSpec
 from .digraph import Digraph
 from .entgames import VARIANTS, entanglement, solve_pursuit
-from .gamecore import COPS, ArenaCeilingError, StrategyCertificate, verify_certificate
-from .rank import (
-    RankDepthError,
-    comeback_min_k,
-    rank,
-    rank_via_game,
-    solve_comeback_game,
+from .gamecore import (
+    COPS,
+    ArenaCeilingError,
+    StrategyCertificate,
+    least_winning_k,
+    verify_certificate,
 )
+from .rank import RankDepthError, rank, solve_comeback_game
 from .translate import TranslationError, translate_rank_strategy
 
 __all__ = [
@@ -213,12 +215,19 @@ def _translate_and_verify(g: Digraph, rec: ReportRecord, ceiling: int | None) ->
         rec.failures.append(f"comeback game lost at k = rank = {k}")
         return
     try:
-        cert = translate_rank_strategy(g, res.certificate)
+        cert = translate_rank_strategy(g, res.certificate, ceiling)
+    except ArenaCeilingError as exc:
+        rec.skips.append(f"translation exceeded {exc.limit} positions at k={k}")
+        return
     except TranslationError as exc:
         rec.certificate_ok = False
         rec.failures.append(f"strategy translation failed at k={k}: {exc}")
         return
-    replay = verify_certificate(g, "entv", k, cert, ceiling=ceiling)
+    try:
+        replay = verify_certificate(g, "entv", k, cert, ceiling=ceiling)
+    except ArenaCeilingError as exc:
+        rec.skips.append(f"entv replay exceeded {exc.limit} positions at k={k}")
+        return
     rec.certificate_ok = replay.ok
     if not replay.ok:
         rec.failures.append(
@@ -233,27 +242,23 @@ def _equivalence_worker(task) -> ReportRecord:
     if not _rank_or_skip(g, rec, ceiling):
         return rec
 
-    if n <= SHRINK_GAME_MAX_N:
-        rec.shrink_game_k = rank_via_game(g)
-        if rec.shrink_game_k != rec.rank:
-            rec.failures.append(
-                f"shrink-game min-k {rec.shrink_game_k} != rank {rec.rank}"
-            )
-    else:
-        rec.skips.append(f"shrink-game check skipped (n={n} > {SHRINK_GAME_MAX_N})")
-
-    if n <= COMEBACK_GAME_MAX_N:
+    # each rank game: its id, record field, size bound, and its names in
+    # skips and in failures
+    for game_id, attr, max_n, name, failed in (
+        ("rank", "shrink_game_k", SHRINK_GAME_MAX_N, "shrink-game", "shrink-game"),
+        ("comeback", "comeback_game_k", COMEBACK_GAME_MAX_N, "comeback", "comeback-game"),
+    ):
+        if n > max_n:
+            rec.skips.append(f"{name} check skipped (n={n} > {max_n})")
+            continue
         try:
-            rec.comeback_game_k = comeback_min_k(g, ceiling=ceiling)
+            least = least_winning_k(g, game_id, ceiling)
         except ArenaCeilingError as exc:
-            rec.skips.append(f"comeback arena exceeded {exc.limit} positions")
-        else:
-            if rec.comeback_game_k != rec.rank:
-                rec.failures.append(
-                    f"comeback-game min-k {rec.comeback_game_k} != rank {rec.rank}"
-                )
-    else:
-        rec.skips.append(f"comeback check skipped (n={n} > {COMEBACK_GAME_MAX_N})")
+            rec.skips.append(f"{name} arena exceeded {exc.limit} positions")
+            continue
+        setattr(rec, attr, least)
+        if least != rec.rank:
+            rec.failures.append(f"{failed} min-k {least} != rank {rec.rank}")
 
     if n <= VARIANT_SWEEP_MAX_N:
         _sweep_variants(g, rec, ceiling)
@@ -271,21 +276,26 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
     depend only on the cop mask and every cop move legal with ``k``
     cops stays legal with more.  A replay that ``verify_certificate``
     accepts proves a cops win without building the arena; a rejected
-    one falls back to solving.  Winner agreement at each level is the
-    strong form; the per-variant minimal ``k`` values recorded on the
-    way out follow from it.
+    one, or one that trips the ceiling, falls back to solving.  Winner
+    agreement at each level is the strong form; the per-variant minimal
+    ``k`` values recorded on the way out follow from it.
     """
     lift: dict[str, StrategyCertificate] = {}  # cops certificate at the least k
     for k in range(g.n + 1):
         winners = {}
         for variant in VARIANTS:
             cert = lift.get(variant)
-            if cert is not None and verify_certificate(
-                g, variant, k, StrategyCertificate(variant, k, COPS, cert.moves),
-                ceiling=ceiling,
-            ).ok:
-                winners[variant] = COPS
-                continue
+            if cert is not None:
+                try:
+                    lifted = verify_certificate(
+                        g, variant, k, StrategyCertificate(variant, k, COPS, cert.moves),
+                        ceiling=ceiling,
+                    ).ok
+                except ArenaCeilingError:
+                    lifted = False
+                if lifted:
+                    winners[variant] = COPS
+                    continue
             try:
                 res = solve_pursuit(g, k, variant, ceiling=ceiling)
             except ArenaCeilingError as exc:

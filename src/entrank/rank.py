@@ -37,7 +37,6 @@ from .gamecore import (
     ArenaCeilingError,
     GameResult,
     GameSpec,
-    least_winning_k,
     solve_finite_game,
 )
 
@@ -47,11 +46,9 @@ __all__ = [
     "RankDepthError",
     "RankShrinkGame",
     "solve_rank_game",
-    "rank_via_game",
     "CPos",
     "ComebackGame",
     "solve_comeback_game",
-    "comeback_min_k",
 ]
 
 #: default cap on the entries (exact values plus lower bounds) of the
@@ -210,14 +207,9 @@ class RankShrinkGame:
         return pos
 
 
-def solve_rank_game(g: Digraph, k: int) -> GameResult:
+def solve_rank_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
     """Winner and positional certificate of the shrinking game at ``k``."""
-    return solve_finite_game(RankShrinkGame(g, k))
-
-
-def rank_via_game(g: Digraph) -> int:
-    """Least budget with which the cops win the shrinking game."""
-    return least_winning_k(g, lambda k: solve_rank_game(g, k))
+    return solve_finite_game(RankShrinkGame(g, k), ceiling)
 
 
 class CPos:
@@ -260,22 +252,17 @@ class ComebackGame:
     an empty collection is a cops win.
 
     Recorded positions are interned, which both bounds memory and makes
-    the (finite, cycle-free) position graph explicit.  The intern table
-    is capped; overflowing raises :class:`ArenaCeilingError`.
+    the (finite, cycle-free) position graph explicit.
     """
 
     game_id = "comeback"
     finite_plays = True
 
-    #: default cap on distinct interned positions
-    DEFAULT_CEILING = 300_000
-
-    def __init__(self, g: Digraph, k: int, ceiling: int | None = None):
+    def __init__(self, g: Digraph, k: int):
         if k < 0:
             raise ValueError("budget k must be >= 0")
         self.g = g
         self.k = k
-        self.ceiling = self.DEFAULT_CEILING if ceiling is None else ceiling
         self._intern: dict = {}
         self.decompose = scc_memo(g)
         self._keys: dict[int, tuple] = {}
@@ -285,10 +272,7 @@ class ComebackGame:
         key = (mask, turn, tuple(e.uid for e in entries), n)
         p = self._intern.get(key)
         if p is None:
-            if len(self._intern) >= self.ceiling:
-                raise ArenaCeilingError(self.game_id, self.ceiling)
-            p = CPos(len(self._intern), mask, turn, entries, n)
-            self._intern[key] = p
+            p = self._intern[key] = CPos(len(self._intern), mask, turn, entries, n)
         return p
 
     def initial_position(self) -> CPos:
@@ -357,22 +341,10 @@ class ComebackGame:
 
 
 def solve_comeback_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
-    """Winner and certificate of the comeback game at budget ``k``.
-
-    Raises :class:`ArenaCeilingError` when the interned position count
-    exceeds ``ceiling`` (a reported resource failure, never a silent
-    wrong answer).
-    """
-    return solve_finite_game(ComebackGame(g, k, ceiling=ceiling))
+    """Winner and certificate of the comeback game at budget ``k``."""
+    return solve_finite_game(ComebackGame(g, k), ceiling)
 
 
-def comeback_min_k(g: Digraph, ceiling: int | None = None) -> int:
-    """Least budget with which the cops win the comeback game."""
-    return least_winning_k(g, lambda k: solve_comeback_game(g, k, ceiling=ceiling))
-
-
-# the shrink game has no position ceiling: ``ceiling`` goes unused
-GAMES["rank"] = GameSpec(lambda g, k, ceiling: RankShrinkGame(g, k), solve_rank_game,
-                         ("vertices", "turn", "counter"))
+GAMES["rank"] = GameSpec(RankShrinkGame, solve_rank_game, ("vertices", "turn", "counter"))
 GAMES["comeback"] = GameSpec(ComebackGame, solve_comeback_game,
                              ("vertices", "turn", "counter", "comebacks"), tabled=True)

@@ -39,20 +39,20 @@ cop and forward moves demand a positive deletion allowance.
 The produced certificate is positional.  If two different histories
 force different decisions at one pursuit position, or any bookkeeping
 invariant above fails, a :class:`TranslationError` is raised -- loudly,
-never as a silently wrong strategy.  The final word on soundness always
-belongs to ``verify_certificate``.
+never as a silently wrong strategy.  A walk that would visit more than
+``ceiling`` (pursuit position, frame chain) pairs raises
+:class:`ArenaCeilingError` instead: a resource stop, not a violation.
+The final word on soundness always belongs to ``verify_certificate``.
 """
 
 from __future__ import annotations
 
 from .digraph import Digraph, component, cyclic, iter_mask
 from .entgames import PursuitGame
-from .gamecore import COPS, THIEF, StrategyCertificate
+from .gamecore import COPS, THIEF, ArenaCeilingError, StrategyCertificate, position_limit
 from .rank import ComebackGame, CPos
 
 __all__ = ["TranslationError", "translate_rank_strategy"]
-
-DEFAULT_NODE_LIMIT = 500_000
 
 
 class TranslationError(RuntimeError):
@@ -80,24 +80,26 @@ class _Frame:
 
 
 def translate_rank_strategy(g: Digraph, cert: StrategyCertificate,
-                            node_limit: int = DEFAULT_NODE_LIMIT) -> StrategyCertificate:
+                            ceiling: int | None = None) -> StrategyCertificate:
     """Cops certificate for the virtual-cop pursuit game at ``cert.k``.
 
     ``cert`` must be a winning cops certificate for the comeback game on
-    ``g``.  Raises :class:`TranslationError` on any invariant breach.
+    ``g``.  Raises :class:`TranslationError` on any invariant breach and
+    :class:`ArenaCeilingError` past ``ceiling`` nodes (see
+    :func:`.gamecore.position_limit`).
     """
     if cert.game != "comeback":
         raise TranslationError(f"expected a comeback-game certificate, got {cert.game!r}")
     if cert.winner != COPS:
         raise TranslationError("certificate does not claim a cops win")
-    return _Translator(g, cert, node_limit).run()
+    return _Translator(g, cert, position_limit(ceiling)).run()
 
 
 class _Translator:
-    def __init__(self, g: Digraph, cert: StrategyCertificate, node_limit: int):
+    def __init__(self, g: Digraph, cert: StrategyCertificate, limit: int):
         self.k = cert.k
         self.cert = cert
-        self.node_limit = node_limit
+        self.limit = limit
         self.game = ComebackGame(g, cert.k)
         self.pursuit = PursuitGame(g, cert.k, "entv")
         self.full = g.full_mask
@@ -129,9 +131,9 @@ class _Translator:
             node_key = (pos, tuple(f.key() for f in frames))
             if node_key in seen:
                 continue
+            if len(seen) >= self.limit:
+                raise ArenaCeilingError("entv", self.limit)
             seen.add(node_key)
-            if len(seen) > self.node_limit:
-                raise TranslationError("replay exploration exceeded its node limit")
             v, cmask, vmask, turn = pos
             if turn == COPS:
                 c2, v2, frames2 = self._respond(v, cmask, vmask, frames)

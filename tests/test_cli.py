@@ -277,6 +277,21 @@ def test_translate_bad_budget(run, dicycle_file):
     assert rc == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("ceiling", (5, 12))
+def test_translate_ceiling_exits_2(run, dicycle_file, monkeypatch, ceiling):
+    # the comeback game on dicycle-3 stores 3 positions, its translation
+    # 12 and the replay of the translated certificate 13: a ceiling of 5
+    # stops the translation, one of 12 its replay -- a resource stop, not
+    # a violation
+    monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", ceiling)
+    rc, out, err = run("translate", dicycle_file)
+    assert rc == 2 and out == ""
+    assert err == f"error: entv arena exceeded the position ceiling of {ceiling}\n"
+    monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", 13)
+    rc, out, err = run("translate", dicycle_file)
+    assert rc == 0 and "replay verification passed" in out and err == ""
+
+
 def test_translate_budget_above_vertex_count(run, tmp_path):
     p = tmp_path / "dicycle5.txt"
     p.write_text("5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
@@ -483,7 +498,20 @@ def test_replay_bad_graph_exits_2(run, tmp_path):
 def test_replay_ceiling_exits_2(run, dicycle_file, tmp_path, monkeypatch):
     cert = str(tmp_path / "cert.json")
     run("game", "rank", dicycle_file, "-k", "1", "--variant", "comeback", "--cert", cert)
-    monkeypatch.setattr(importlib.import_module("entrank.rank").ComebackGame, "DEFAULT_CEILING", 1)
+    monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", 1)
     rc, out, err = run("replay", dicycle_file, cert)
     assert rc == 2 and out == ""
     assert err == "error: comeback arena exceeded the position ceiling of 1\n"
+
+
+@pytest.mark.parametrize("game_id, argv", (("rank", ("rank",)), ("ent", ("ent",)),
+                                           ("et", ("ent", "--variant", "et")),
+                                           ("entv", ("ent", "--variant", "entv"))))
+def test_replay_ceiling_exits_2_for_every_game(run, dicycle_file, tmp_path, monkeypatch,
+                                               game_id, argv):
+    cert = str(tmp_path / "cert.json")
+    assert run("game", argv[0], dicycle_file, "-k", "1", *argv[1:], "--cert", cert)[0] == 0
+    monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", 1)
+    rc, out, err = run("replay", dicycle_file, cert)
+    assert rc == 2 and out == ""
+    assert err == f"error: {game_id} arena exceeded the position ceiling of 1\n"

@@ -11,10 +11,9 @@ from entrank.entgames import (
     THIEF,
     PursuitGame,
     entanglement,
-    entv_min_k,
-    et_min_k,
     solve_pursuit,
 )
+from entrank.gamecore import least_winning_k
 
 from conftest import (
     clique_edges,
@@ -84,8 +83,8 @@ def test_variants_agree_with_each_other():
         n = rng.randrange(6)
         g = dg(n, random_edges(n, 0.35, rng))
         e = entanglement(g)
-        assert et_min_k(g) == e
-        assert entv_min_k(g) == e
+        assert least_winning_k(g, "et") == e
+        assert least_winning_k(g, "entv") == e
 
 
 def test_more_cops_never_hurt():

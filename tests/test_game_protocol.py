@@ -1,13 +1,14 @@
 """The game protocol: ``moves`` derives from ``successors`` and ``move_key``,
-and ``play`` follows a move key back to its successor."""
+``play`` follows a move key back to its successor, and solving and replay
+count the positions they store against one ceiling."""
 
 import random
 
 import pytest
 
-from entrank.gamecore import GAMES, make_game
+from entrank.gamecore import GAMES, ArenaCeilingError, make_game, verify_certificate
 
-from conftest import dg, random_edges
+from conftest import clique_edges, dg, random_edges
 
 
 def _reachable(game):
@@ -134,3 +135,25 @@ def test_play_follows_move_keys_and_refuses_bad_ones(game_id):
                 for mk in bad:
                     if mk not in legal:
                         assert game.play(pos, mk) is None, (n, k, game.pos_key(pos), mk)
+
+
+@pytest.mark.parametrize("game_id", ("rank", "comeback", "ent", "et", "entv"))
+def test_solving_and_replay_count_positions_against_the_ceiling(game_id):
+    # The games take no ceiling; the walks that store their positions do.
+    # A ceiling of 1 stops both walks, naming the game; one at the number
+    # of reachable positions stops neither.  The pursuit solver stores the
+    # whole arena, so one position fewer stops it.
+    g = dg(4, clique_edges(4))
+    for k in (2, 3, 4):  # thief wins at 2, cops wins at 3 and 4
+        cert = GAMES[game_id].solve(g, k).certificate
+        reachable = sum(1 for _ in _reachable(make_game(g, game_id, k)))
+        for walk in (lambda c: GAMES[game_id].solve(g, k, c),
+                     lambda c: verify_certificate(g, game_id, k, cert, ceiling=c)):
+            with pytest.raises(ArenaCeilingError) as exc:
+                walk(1)
+            assert (exc.value.game_id, exc.value.limit) == (game_id, 1)
+        assert GAMES[game_id].solve(g, k, reachable).winner == cert.winner
+        assert verify_certificate(g, game_id, k, cert, ceiling=reachable).ok
+        if game_id in ("ent", "et", "entv"):
+            with pytest.raises(ArenaCeilingError):
+                GAMES[game_id].solve(g, k, reachable - 1)

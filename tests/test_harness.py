@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import entrank.harness as harness
 from entrank.digraph import Digraph
 from entrank.entgames import solve_pursuit
-from entrank.gamecore import COPS, ReplayReport
+from entrank.gamecore import COPS, ArenaCeilingError, ReplayReport
 from entrank.harness import (
     ReportRecord,
     VerificationReport,
@@ -17,7 +17,7 @@ from entrank.harness import (
     run_theorem_suite,
 )
 
-from conftest import dg, ucycle_edges
+from conftest import dg, dicycle_edges, ucycle_edges
 
 VARIANTS = ("ent", "et", "entv")
 
@@ -80,6 +80,31 @@ def test_ceiling_caps_rank_memo_and_pursuit_arena():
     assert rec.rank == 4 and rec.skips == ["pursuit arena exceeded 28 positions"]
     rec = run_equivalence_suite("family:name=clique,size=5", ceiling=27).records[0]
     assert rec.rank is None and rec.skips == ["rank memo exceeded 27 entries"]
+
+
+def test_shrink_ceiling_is_a_skip():
+    # clique-6's rank memo holds 59 entries; its shrink game stores 99
+    # positions at k = 4, so a ceiling of 80 stops the shrink check only
+    rep = run_equivalence_suite("family:name=clique,size=6", ceiling=80)
+    rec = rep.records[0]
+    assert rep.ok and rec.rank == 5 and rec.shrink_game_k is None
+    assert "shrink-game arena exceeded 80 positions" in rec.skips
+    rec = run_equivalence_suite("family:name=clique,size=6", ceiling=99).records[0]
+    assert rec.shrink_game_k == 5
+    assert not [s for s in rec.skips if s.startswith("shrink")]
+
+
+def test_tripped_translation_or_replay_is_a_skip():
+    # on dicycle-3 at k = rank = 1 the comeback game stores 3 positions,
+    # the translation 12 and the replay of its certificate 13
+    g = dg(3, dicycle_edges(3))
+    for ceiling, skips in ((5, ["translation exceeded 5 positions at k=1"]),
+                           (12, ["entv replay exceeded 12 positions at k=1"]),
+                           (13, [])):
+        rec = ReportRecord("g", 3, [], rank=1)
+        harness._translate_and_verify(g, rec, ceiling)
+        assert rec.skips == skips and rec.failures == []
+        assert rec.certificate_ok is (None if skips else True)
 
 
 def test_big_graphs_skip_game_cross_checks():
@@ -209,12 +234,33 @@ def test_rejected_lift_falls_back_to_solving(monkeypatch):
     assert sorted(asked) == sorted((v, k) for v in VARIANTS for k in (4, 5))
 
 
+def test_tripped_lift_falls_back_to_solving(monkeypatch):
+    g = dg(5, ucycle_edges(5))
+    lifted = _sweep(g)
+    solved = []
+    real_solve = harness.solve_pursuit
+
+    def trip(g_, variant, k, cert, ceiling=None):
+        raise ArenaCeilingError(variant, 1)
+
+    def count(g_, k, variant, ceiling=None):
+        solved.append((variant, k))
+        return real_solve(g_, k, variant, ceiling=ceiling)
+
+    monkeypatch.setattr(harness, "verify_certificate", trip)
+    monkeypatch.setattr(harness, "solve_pursuit", count)
+    rec = _sweep(g)
+    assert json.dumps(rec.to_obj()) == json.dumps(lifted.to_obj())
+    assert sorted(solved) == sorted((v, k) for v in VARIANTS for k in range(g.n + 1))
+
+
 CEILING_CORPUS = "random:n=5,p=0.3,seed=7,count=20"
 
 
 def test_small_ceiling_skips_only_up_to_the_least_k():
-    # a lifted win builds no arena, so it cannot trip the ceiling: only
-    # levels up to a variant's least winning k can be skipped
+    # a lifted win builds no arena, and its replays on this corpus store
+    # at most 54 positions, so only levels up to a variant's least
+    # winning k can be skipped
     full = run_equivalence_suite(CEILING_CORPUS)
     assert full.skips == 0
     bounded = run_equivalence_suite(CEILING_CORPUS, ceiling=400)

@@ -5,13 +5,11 @@ import random
 import pytest
 
 from entrank.digraph import Digraph
-from entrank.gamecore import ArenaCeilingError, COPS, THIEF
+from entrank.gamecore import ArenaCeilingError, COPS, THIEF, least_winning_k
 from entrank.rank import (
     ComebackGame,
     RankShrinkGame,
-    comeback_min_k,
     rank,
-    rank_via_game,
     solve_comeback_game,
     solve_rank_game,
 )
@@ -22,11 +20,11 @@ from oracles import comeback_thief_wins, rank_value, shrink_thief_wins
 
 def test_shrink_game_matches_rank_on_families():
     for n in range(1, 7):
-        assert rank_via_game(dg(n, upath_edges(n))) == rank(dg(n, upath_edges(n)))
+        assert least_winning_k(dg(n, upath_edges(n)), "rank") == rank(dg(n, upath_edges(n)))
     for n in range(1, 5):
-        assert rank_via_game(dg(n, clique_edges(n))) == n - 1
-    assert rank_via_game(Digraph(0, [])) == 0
-    assert rank_via_game(Digraph(3, [(0, 1), (1, 2)])) == 0
+        assert least_winning_k(dg(n, clique_edges(n)), "rank") == n - 1
+    assert least_winning_k(Digraph(0, []), "rank") == 0
+    assert least_winning_k(Digraph(3, [(0, 1), (1, 2)]), "rank") == 0
 
 
 def test_shrink_game_matches_rank_random():
@@ -34,7 +32,7 @@ def test_shrink_game_matches_rank_random():
     for _ in range(60):
         n = rng.randrange(6)
         edges = random_edges(n, 0.35, rng)
-        assert rank_via_game(dg(n, edges)) == rank_value(n, tuple(edges))
+        assert least_winning_k(dg(n, edges), "rank") == rank_value(n, tuple(edges))
 
 
 def test_shrink_winners_match_oracle_at_each_k():
@@ -54,9 +52,9 @@ def test_comeback_min_k_equals_rank():
     for _ in range(40):
         n = rng.randrange(5)
         edges = random_edges(n, 0.4, rng)
-        assert comeback_min_k(dg(n, edges)) == rank_value(n, tuple(edges))
+        assert least_winning_k(dg(n, edges), "comeback") == rank_value(n, tuple(edges))
     for n in range(1, 6):
-        assert comeback_min_k(dg(n, dicycle_edges(n))) == 1
+        assert least_winning_k(dg(n, dicycle_edges(n)), "comeback") == 1
 
 
 def test_comeback_winners_match_oracle_at_each_k():

@@ -10,7 +10,7 @@ import pytest
 
 from entrank.digraph import Digraph
 from entrank.entgames import solve_pursuit
-from entrank.gamecore import COPS, THIEF, verify_certificate
+from entrank.gamecore import COPS, THIEF, ArenaCeilingError, verify_certificate
 from entrank.rank import rank, solve_comeback_game
 from entrank.translate import TranslationError, translate_rank_strategy
 
@@ -107,5 +107,5 @@ def test_rejects_thief_certificates():
 def test_node_limit_is_enforced():
     g = dg(4, clique_edges(4))
     res = solve_comeback_game(g, 3)
-    with pytest.raises(TranslationError):
-        translate_rank_strategy(g, res.certificate, node_limit=1)
+    with pytest.raises(ArenaCeilingError):
+        translate_rank_strategy(g, res.certificate, ceiling=1)
