@@ -85,7 +85,7 @@ __all__ = [
 
 
 def position_limit(ceiling: int | None) -> int:
-    """``ceiling``, or :data:`DEFAULT_POSITION_CEILING` as it is now."""
+    """``ceiling``, or :data:`DEFAULT_POSITION_CEILING` as it is at the call."""
     return DEFAULT_POSITION_CEILING if ceiling is None else ceiling
 
 

@@ -21,9 +21,8 @@ positions of every arena walk (solve, replay, translation) and the rank
 memo's entries; a tripped ceiling, or a rank recursion past the
 interpreter's recursion limit, becomes a *skip*, listed in the report
 rather than dropped (a lifted replay that trips it falls back to
-solving); every
-failure message embeds enough detail to replay it (the record carries
-the graph, the message carries ``k`` and the reason).
+solving).  Every failure message embeds enough detail to replay it (the
+record carries the graph, the message carries ``k`` and the reason).
 
 ``wall_time`` is kept on the report object for human display but is
 deliberately excluded from the JSON serialisation so that two runs over
