@@ -14,7 +14,7 @@ scale (a handful of vertices); every walk that stores game positions
 """
 
 from .corpus import CorpusSpec, FAMILIES, family_graph, generate_corpus
-from .digraph import Digraph, SccDecomposition, scc_decompose
+from .digraph import Digraph, scc_decompose
 from .entgames import PursuitGame, entanglement, solve_pursuit
 from .gamecore import (
     COPS,
@@ -55,6 +55,7 @@ from .muterm import (
 )
 from .rank import (
     ComebackGame,
+    RankCeilingError,
     RankDepthError,
     RankShrinkGame,
     rank,
@@ -69,7 +70,6 @@ __all__ = [
     "__version__",
     # graphs
     "Digraph",
-    "SccDecomposition",
     "scc_decompose",
     "GraphFormatError",
     "load_graph",
@@ -78,6 +78,7 @@ __all__ = [
     # rank and its games
     "rank",
     "RankDepthError",
+    "RankCeilingError",
     "RankShrinkGame",
     "ComebackGame",
     "solve_rank_game",

@@ -230,12 +230,13 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if res.winner != COPS:
         print(f"thief wins the comeback game at k={k}; nothing to translate")
         return EXIT_VIOLATIONS
+    step = "translation"
     try:
         cert = translate_rank_strategy(g, res.certificate)
+        step = "replay of the translated certificate"
         replay = verify_certificate(g, "entv", k, cert)
     except ArenaCeilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit(f"error: {step} at k={k} exceeded the position ceiling of {exc.limit}")
     except TranslationError as exc:
         print(f"FAIL translation at k={k}: {exc}")
         return EXIT_VIOLATIONS
@@ -276,6 +277,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_VIOLATIONS
     print("ok")
     return EXIT_OK
+
+
+def _at_least_one(text: str) -> int:
+    """An integer flag value of 1 or more; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="theorem suite: also translate and replay strategy certificates",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_at_least_one, default=1, help="parallel worker processes")
     p.add_argument(
         "--ceiling",
-        type=int,
+        type=_at_least_one,
         default=None,
         help="cap on the positions of each solve, replay and translation, "
         "and on the rank memo's entries",

@@ -12,20 +12,17 @@ graph, mask) pairs internally.  Each graph keeps a successor and a
 predecessor mask per vertex, and the one SCC primitive works on them:
 :func:`component` is the backward closure of a vertex inside its
 forward closure, and :func:`components` peels components off a mask,
-lowest vertex first.  :func:`scc_decompose` packages that peel as an
-:class:`SccDecomposition`.
+lowest vertex first.  :func:`scc_decompose` pairs each nontrivial
+component of that peel with the nontrivial components ahead of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "Digraph",
-    "SccDecomposition",
     "scc_decompose",
-    "scc_memo",
     "component",
     "components",
     "cyclic",
@@ -101,39 +98,6 @@ class Digraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def remove_vertex(self, v: int) -> "Digraph":
-        """Digraph without ``v`` and its incident edges.
-
-        Remaining vertices are renumbered canonically: ``w`` keeps its
-        identifier when ``w < v`` and becomes ``w - 1`` when ``w > v``.
-        """
-        if not 0 <= v < self._n:
-            raise ValueError(f"vertex {v} not in 0..{self._n - 1}")
-
-        def ren(w: int) -> int:
-            return w if w < v else w - 1
-
-        edges = [(ren(a), ren(b)) for (a, b) in self._edges if a != v and b != v]
-        return Digraph(self._n - 1, edges)
-
-    def induced_subgraph(self, s: Iterable[int]) -> "Digraph":
-        """Subgraph induced by the vertex set ``s``.
-
-        Kept vertices are renumbered densely in ascending order of their
-        original identifiers.
-        """
-        keep = sorted(set(s))
-        for v in keep:
-            if not 0 <= v < self._n:
-                raise ValueError(f"vertex {v} not in 0..{self._n - 1}")
-        pos = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (pos[a], pos[b])
-            for (a, b) in self._edges
-            if a in pos and b in pos
-        ]
-        return Digraph(len(keep), edges)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
@@ -144,40 +108,6 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph({self._n}, {sorted(self._edges)!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class SccDecomposition:
-    """Strongly connected components of a (masked) digraph.
-
-    ``components`` are frozensets ordered by smallest member vertex;
-    ``component_masks`` are the same components as bitmasks.
-    ``nontrivial`` holds the indices of components that contain a cycle
-    (more than one vertex, or a looped single vertex).  ``order`` is the
-    strict relation on nontrivial component indices: ``(i, j)`` is
-    present iff some path of the masked graph leads from component ``i``
-    to the distinct component ``j``.  ``scc_of`` maps each live vertex
-    to its component index.
-    """
-
-    mask: int
-    components: tuple[frozenset[int], ...]
-    component_masks: tuple[int, ...]
-    nontrivial: frozenset[int]
-    order: frozenset[tuple[int, int]]
-    scc_of: dict[int, int]
-
-    @property
-    def nontrivial_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.components[i] for i in sorted(self.nontrivial))
-
-    @property
-    def nontrivial_masks(self) -> tuple[int, ...]:
-        return tuple(self.component_masks[i] for i in sorted(self.nontrivial))
-
-    def ahead_of(self, i: int) -> tuple[int, ...]:
-        """Indices of nontrivial components reachable from component ``i``."""
-        return tuple(sorted(j for (a, j) in self.order if a == i))
 
 
 def _closure(v: int, adj: tuple[int, ...], within: int) -> int:
@@ -222,45 +152,19 @@ def cyclic(g: Digraph, comp: int) -> bool:
     return bool(comp & (comp - 1) or g.succ_masks[comp.bit_length() - 1] & comp)
 
 
-def scc_decompose(g: Digraph, mask: int | None = None) -> SccDecomposition:
-    """Decomposition of the subgraph induced by ``mask`` (default: all).
-
-    Built from :func:`components`; ``order`` takes one forward closure
-    per nontrivial component.
+def scc_decompose(g: Digraph, mask: int | None = None) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """One ``(component, ahead)`` mask pair per nontrivial component of
+    ``mask`` (default: all), by smallest member.  ``ahead`` holds the
+    other nontrivial components that a path of the masked graph reaches
+    from it, in the same order; it takes one forward closure.
     """
     if mask is None:
         mask = g.full_mask
     if mask & ~g.full_mask:
         raise ValueError("mask mentions vertices outside the graph")
-    masks = tuple(components(g, mask))
-    nontrivial = [i for i, c in enumerate(masks) if cyclic(g, c)]
-    order = set()
-    for i in nontrivial:
-        c = masks[i]
+    cycles = [c for c in components(g, mask) if cyclic(g, c)]
+    out = []
+    for c in cycles:
         ahead = _closure(c.bit_length() - 1, g.succ_masks, mask) & ~c
-        order.update((i, j) for j in nontrivial if masks[j] & ahead)
-    return SccDecomposition(
-        mask=mask,
-        components=tuple(frozenset(iter_mask(c)) for c in masks),
-        component_masks=masks,
-        nontrivial=frozenset(nontrivial),
-        order=frozenset(order),
-        scc_of={v: i for i, c in enumerate(masks) for v in iter_mask(c)},
-    )
-
-
-def scc_memo(g: Digraph) -> Callable[[int], SccDecomposition]:
-    """``scc_decompose(g, mask)`` memoised on ``mask``.
-
-    Create one per solver call and drop it with the call: the memo keeps
-    every decomposition it returned alive for as long as it lives.
-    """
-    memo: dict[int, SccDecomposition] = {}
-
-    def decompose(mask: int) -> SccDecomposition:
-        d = memo.get(mask)
-        if d is None:
-            d = memo[mask] = scc_decompose(g, mask)
-        return d
-
-    return decompose
+        out.append((c, tuple(d for d in cycles if d & ahead)))
+    return tuple(out)

@@ -15,7 +15,7 @@ beats the best found so far, and stops once the best meets its lower
 bound: at least 1, and at least the rank of any deletion, since rank
 never grows when a vertex is deleted.  Exact values and lower bounds are
 memoised apart, and the memo is capped by a ceiling
-(:class:`ArenaCeilingError` past it).
+(:class:`RankCeilingError` past it).
 
 Two games compute the same number.  In the plain shrinking game the
 thief repeatedly enters a nontrivial component and the cops delete one
@@ -29,7 +29,9 @@ backward induction.
 
 from __future__ import annotations
 
-from .digraph import Digraph, components, iter_mask, scc_memo
+from functools import cache, partial
+
+from .digraph import Digraph, components, iter_mask, scc_decompose
 from .gamecore import (
     COPS,
     THIEF,
@@ -44,6 +46,7 @@ __all__ = [
     "rank",
     "DEFAULT_RANK_CEILING",
     "RankDepthError",
+    "RankCeilingError",
     "RankShrinkGame",
     "solve_rank_game",
     "CPos",
@@ -58,6 +61,14 @@ DEFAULT_RANK_CEILING = 1_000_000
 
 class RankDepthError(RuntimeError):
     """The rank recursion ran past the interpreter's recursion limit."""
+
+
+class RankCeilingError(ArenaCeilingError):
+    """The rank memo would hold more than ``limit`` entries (game id ``rank``)."""
+
+    def __init__(self, game_id: str, limit: int):
+        super().__init__(game_id, limit)
+        self.args = (f"rank memo exceeded the entry ceiling of {limit}",)
 
 
 class _RankMemo:
@@ -84,7 +95,7 @@ class _RankMemo:
         else:
             table = self.lower
         if mask not in table and len(self.exact) + len(self.lower) >= self.ceiling:
-            raise ArenaCeilingError("rank", self.ceiling)
+            raise RankCeilingError("rank", self.ceiling)
         table[mask] = value
         return value
 
@@ -131,7 +142,7 @@ class _RankMemo:
 def rank(g: Digraph, ceiling: int | None = None) -> int:
     """Exact rank of ``g``.
 
-    Raises :class:`ArenaCeilingError` when the memo would hold more than
+    Raises :class:`RankCeilingError` when the memo would hold more than
     ``ceiling`` masks (default :data:`DEFAULT_RANK_CEILING`), and
     :class:`RankDepthError` when the recursion, up to about two frames
     per vertex, passes the interpreter's recursion limit.
@@ -163,7 +174,7 @@ class RankShrinkGame:
             raise ValueError("budget k must be >= 0")
         self.g = g
         self.k = k
-        self.decompose = scc_memo(g)
+        self.decompose = cache(partial(scc_decompose, g))
 
     def initial_position(self):
         return (self.g.full_mask, THIEF, self.k)
@@ -175,7 +186,7 @@ class RankShrinkGame:
         mask, turn, n = pos
         if turn != THIEF:
             return None
-        if not self.decompose(mask).nontrivial:
+        if not self.decompose(mask):
             return COPS
         if n == 0:
             return THIEF
@@ -184,7 +195,7 @@ class RankShrinkGame:
     def successors(self, pos):
         mask, turn, n = pos
         if turn == THIEF:
-            return [(cmask, COPS, n) for cmask in self.decompose(mask).nontrivial_masks]
+            return [(c, COPS, n) for c, _ in self.decompose(mask)]
         return [(mask & ~(1 << v), THIEF, n - 1) for v in iter_mask(mask)]
 
     def move_key(self, src, dst):
@@ -264,7 +275,7 @@ class ComebackGame:
         self.g = g
         self.k = k
         self._intern: dict = {}
-        self.decompose = scc_memo(g)
+        self.decompose = cache(partial(scc_decompose, g))
         self._keys: dict[int, tuple] = {}
         self._init = self._pos(g.full_mask, THIEF, (), k)
 
@@ -284,7 +295,7 @@ class ComebackGame:
     def winner_if_terminal(self, pos: CPos) -> str | None:
         if pos.turn != THIEF:
             return None
-        if not self.decompose(pos.mask).nontrivial:
+        if not self.decompose(pos.mask):
             return COPS if not pos.entries else None
         if pos.n == 0:
             return THIEF
@@ -297,17 +308,11 @@ class ComebackGame:
                 for v in iter_mask(pos.mask)
             ]
         out = []
-        d = self.decompose(pos.mask)
-        if d.nontrivial and pos.n > 0:
-            for i in sorted(d.nontrivial):
-                recorded = [
-                    self._pos(d.component_masks[j], COPS, pos.entries, pos.n)
-                    for j in d.ahead_of(i)
-                ]
-                merged = sorted(
-                    set(pos.entries).union(recorded), key=lambda e: e.uid
-                )
-                out.append(self._pos(d.component_masks[i], COPS, tuple(merged), pos.n))
+        if pos.n > 0:
+            for c, ahead in self.decompose(pos.mask):
+                recorded = [self._pos(a, COPS, pos.entries, pos.n) for a in ahead]
+                merged = sorted(set(pos.entries).union(recorded), key=lambda e: e.uid)
+                out.append(self._pos(c, COPS, tuple(merged), pos.n))
         out.extend(pos.entries)
         return out
 

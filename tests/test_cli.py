@@ -277,16 +277,19 @@ def test_translate_bad_budget(run, dicycle_file):
     assert rc == 2 and "budget" in err
 
 
-@pytest.mark.parametrize("ceiling", (5, 12))
-def test_translate_ceiling_exits_2(run, dicycle_file, monkeypatch, ceiling):
+@pytest.mark.parametrize("ceiling, step", [
+    pytest.param(5, "translation", id="5"),
+    pytest.param(12, "replay of the translated certificate", id="12"),
+])
+def test_translate_ceiling_exits_2(run, dicycle_file, monkeypatch, ceiling, step):
     # the comeback game on dicycle-3 stores 3 positions, its translation
     # 12 and the replay of the translated certificate 13: a ceiling of 5
     # stops the translation, one of 12 its replay -- a resource stop, not
-    # a violation
+    # a violation, and the error names the step that stopped
     monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", ceiling)
     rc, out, err = run("translate", dicycle_file)
     assert rc == 2 and out == ""
-    assert err == f"error: entv arena exceeded the position ceiling of {ceiling}\n"
+    assert err == f"error: {step} at k=1 exceeded the position ceiling of {ceiling}\n"
     monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", 13)
     rc, out, err = run("translate", dicycle_file)
     assert rc == 0 and "replay verification passed" in out and err == ""
@@ -309,7 +312,7 @@ def test_rank_ceiling_exits_2(run, dicycle_file, tiny_rank_ceiling):
     for argv in (("measure",), ("measure", "--rank"), ("translate",)):
         rc, out, err = run(*argv, dicycle_file)
         assert rc == 2 and out == ""
-        assert err == "error: rank arena exceeded the position ceiling of 1\n"
+        assert err == "error: rank memo exceeded the entry ceiling of 1\n"
     rc, out, _ = run("measure", dicycle_file, "--ent")
     assert rc == 0 and out == "entanglement: 1\n"
 
@@ -369,7 +372,19 @@ def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):
     term.write_text("mu x. f(x, nu y. g(y))\n")
     rc, out, err = run("muterm", "analyze", str(term))
     assert rc == 2 and out == ""
-    assert err == "error: rank arena exceeded the position ceiling of 1\n"
+    assert err == "error: rank memo exceeded the entry ceiling of 1\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ceiling", "0"), ("--ceiling", "-1"), ("--jobs", "0"), ("--jobs", "-2"),
+])
+def test_verify_flag_below_one_is_refused(run, dicycle_file, flag, value, capsys):
+    # a ceiling below 1 would skip every graph and still report OK
+    with pytest.raises(SystemExit) as exc:
+        run("verify", "equiv", dicycle_file, flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got {value}" in err and "Traceback" not in err
 
 
 def test_argparse_usage_errors_exit_2(run):

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import clique_edges, dicycle_edges, random_edges, upath_edges
-from entrank.digraph import Digraph, iter_mask, mask_of, scc_decompose
+from entrank.digraph import (
+    Digraph,
+    component,
+    components,
+    cyclic,
+    iter_mask,
+    mask_of,
+    scc_decompose,
+)
 from oracles import nontrivial_sccs, reach_sets, scc_classes
 
 graphs = st.integers(0, 6).flatmap(
@@ -44,25 +52,8 @@ def test_empty_graph():
     g = Digraph(0)
     assert g.n == 0
     assert list(g.vertices()) == []
-    assert scc_decompose(g).components == ()
-
-
-def test_remove_vertex_renumbers():
-    g = Digraph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 3)])
-    h = g.remove_vertex(0)  # 1,2,3 become 0,1,2
-    assert h.n == 3
-    assert sorted(h.edges) == [(0, 1), (2, 2)]
-    with pytest.raises(ValueError):
-        g.remove_vertex(4)
-
-
-def test_induced_subgraph_renumbers():
-    g = Digraph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 3)])
-    sub = g.induced_subgraph([1, 2, 3])  # kept vertices renumbered 0,1,2
-    assert sub.n == 3
-    assert sorted(sub.edges) == [(0, 1), (2, 2)]
-    assert g.induced_subgraph([1, 3, 2]).edges == sub.edges
-    assert g.induced_subgraph([]).n == 0
+    assert list(components(g, g.full_mask)) == []
+    assert scc_decompose(g) == ()
 
 
 def test_mask_roundtrip():
@@ -78,56 +69,66 @@ def _masks(data, g):
 
 @settings(max_examples=120, deadline=None)
 @given(graphs, st.data())
+def test_components_match_oracle(ne, data):
+    n, edges = ne
+    g = Digraph(n, edges)
+    for mask in _masks(data, g):
+        live = list(iter_mask(mask))
+        comps = list(components(g, mask))
+        assert sorted(comps) == sorted(mask_of(c) for c in scc_classes(live, edges))
+        # listed by ascending smallest member, disjoint, covering the mask
+        lows = [c & -c for c in comps]
+        assert lows == sorted(lows)
+        assert sum(comps) == mask
+        assert all(a & b == 0 for i, a in enumerate(comps) for b in comps[:i])
+        for v in live:
+            assert component(g, v, mask) == next(c for c in comps if c >> v & 1)
+        nontrivial = {mask_of(c) for c in nontrivial_sccs(live, edges)}
+        assert {c for c in comps if cyclic(g, c)} == nontrivial
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs, st.data())
 def test_scc_decompose_matches_oracle(ne, data):
     n, edges = ne
     g = Digraph(n, edges)
     for mask in _masks(data, g):
         live = list(iter_mask(mask))
-        d = scc_decompose(g, mask)
-        assert d.mask == mask
-        assert set(d.components) == set(scc_classes(live, edges))
-        expected_nontrivial = set(nontrivial_sccs(live, edges))
-        assert {d.components[i] for i in d.nontrivial} == expected_nontrivial
-        assert set(d.nontrivial_components) == expected_nontrivial
-        # listed by ascending smallest member
-        lows = [min(c) for c in d.components]
-        assert lows == sorted(lows) and len(set(lows)) == len(lows)
-        assert sorted(d.scc_of) == live
-        for i, comp in enumerate(d.components):
-            assert d.component_masks[i] == mask_of(comp)
-            for v in comp:
-                assert d.scc_of[v] == i
-                assert d.components[d.scc_of[v]] == comp
+        pairs = scc_decompose(g, mask)
+        cycles = [c for c, _ in pairs]
+        assert cycles == sorted(cycles, key=lambda c: c & -c)
+        assert set(cycles) == {mask_of(c) for c in nontrivial_sccs(live, edges)}
+        reach = reach_sets(live, edges)
+        for c, ahead in pairs:
+            from_c = mask_of(set().union(*(reach[v] for v in iter_mask(c))))
+            assert ahead == tuple(d for d in cycles if d != c and d & from_c)
 
 
-@settings(max_examples=120, deadline=None)
-@given(graphs, st.data())
-def test_ahead_of_matches_reachability(ne, data):
-    n, edges = ne
-    g = Digraph(n, edges)
-    for mask in _masks(data, g):
-        d = scc_decompose(g, mask)
-        reach = reach_sets(list(iter_mask(mask)), edges)
-        for i in d.nontrivial:
-            ahead = set(d.ahead_of(i))
-            from_i = set().union(*(reach[v] for v in d.components[i]))
-            for j in d.nontrivial:
-                expect = j != i and bool(d.components[j] & from_i)
-                assert (j in ahead) == expect
+def test_ahead_masks_by_smallest_member():
+    # looped 2 -> looped 0 -> looped 1: what lies ahead of 2 is listed
+    # by smallest member, not in path order
+    g = Digraph(3, [(0, 0), (1, 1), (2, 2), (2, 0), (0, 1)])
+    assert scc_decompose(g) == ((0b001, (0b010,)), (0b010, ()), (0b100, (0b001, 0b010)))
+
+
+def test_mask_outside_the_graph_is_refused():
+    g = Digraph(3, dicycle_edges(3))
+    with pytest.raises(ValueError):
+        scc_decompose(g, 0b1000)
+    with pytest.raises(ValueError):
+        scc_decompose(Digraph(0), 1)
 
 
 def test_scc_on_mask_restricts():
     g = Digraph(4, dicycle_edges(4))
-    d = scc_decompose(g, mask_of([0, 1, 2]))  # cycle broken by dropping 3
-    assert d.nontrivial == frozenset()
-    assert all(len(c) == 1 for c in d.components)
+    mask = mask_of([0, 1, 2])  # cycle broken by dropping 3
+    assert scc_decompose(g, mask) == ()
+    assert list(components(g, mask)) == [0b001, 0b010, 0b100]
 
 
 def test_family_shapes():
-    assert scc_decompose(Digraph(5, upath_edges(5))).nontrivial_components == (
-        frozenset(range(5)),
-    )
-    assert len(scc_decompose(Digraph(4, clique_edges(4))).components) == 1
+    assert scc_decompose(Digraph(5, upath_edges(5))) == ((0b11111, ()),)
+    assert list(components(Digraph(4, clique_edges(4)), 0b1111)) == [0b1111]
     rng = random.Random(7)
     n, edges = 5, random_edges(5, 0.4, rng)
     assert Digraph(n, edges).edge_count() == len(set(edges))

@@ -247,8 +247,7 @@ def test_bound_name_count():
 def test_term_graph_simple_loop():
     g = term_graph(parse("mu x. f(x)"))
     assert g.n == 3
-    d = scc_decompose(g)
-    assert d.nontrivial_components == (frozenset({0, 1, 2}),)
+    assert scc_decompose(g) == ((0b111, ()),)
     assert rank(g) == 1
 
 
@@ -262,8 +261,7 @@ def test_term_graph_binder_free_is_acyclic():
 
 def test_term_graph_two_loops():
     g = term_graph(parse("mu x. f(mu y. g(y), x)"))
-    d = scc_decompose(g)
-    assert len(d.nontrivial_components) == 2
+    assert len(scc_decompose(g)) == 2
 
 
 def test_analyze_reports():

@@ -7,10 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrank.digraph import Digraph, iter_mask
+from entrank.digraph import Digraph
 from entrank.gamecore import ArenaCeilingError
 from entrank.muterm import parse, term_graph
-from entrank.rank import rank
+from entrank.rank import RankCeilingError, rank
 
 from conftest import (
     clique_edges,
@@ -91,6 +91,9 @@ def test_memo_ceiling():
     with pytest.raises(ArenaCeilingError) as exc:
         rank(dg(10, clique_edges(10)), ceiling=50)
     assert exc.value.game_id == "rank" and exc.value.limit == 50
+    # the memo is no game arena, and its message says so
+    assert type(exc.value) is RankCeilingError
+    assert str(exc.value) == "rank memo exceeded the entry ceiling of 50"
     assert rank(dg(10, clique_edges(10)), ceiling=2000) == 9
 
 
@@ -99,6 +102,9 @@ def test_ceiling_error_pickles():
     exc = pickle.loads(pickle.dumps(ArenaCeilingError("rank", 50)))
     assert (exc.game_id, exc.limit) == ("rank", 50)
     assert str(exc) == "rank arena exceeded the position ceiling of 50"
+    memo = pickle.loads(pickle.dumps(RankCeilingError("rank", 50)))
+    assert type(memo) is RankCeilingError and (memo.game_id, memo.limit) == ("rank", 50)
+    assert str(memo) == "rank memo exceeded the entry ceiling of 50"
 
 
 @st.composite
@@ -130,8 +136,9 @@ def test_capped_solve_and_memo_match_oracle(ne, data):
     assert got == want if want < cap else cap <= got <= want
 
     def oracle(mask):
-        sub = g.induced_subgraph(iter_mask(mask))
-        return rank_value(sub.n, tuple(sub.edges))
+        # vertices outside the mask stay as isolated loop-free vertices,
+        # which do not change rank
+        return rank_value(n, tuple((a, b) for a, b in edges if mask >> a & mask >> b & 1))
 
     assert all(oracle(m) == r for m, r in memo.exact.items())
     assert all(oracle(m) >= r for m, r in memo.lower.items())
@@ -145,4 +152,4 @@ def test_rank_monotone_under_subgraphs(ne):
     g = dg(n, edges)
     full = rank(g)
     for v in range(n):
-        assert rank(g.remove_vertex(v)) <= full
+        assert rank(Digraph(n, [e for e in edges if v not in e])) <= full

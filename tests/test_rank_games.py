@@ -137,3 +137,15 @@ def test_exhausted_component_forces_a_comeback():
     for mv, np in game.moves(forced):
         assert mv[0] == "comeback"
         assert game.pos_key(np) in {game.pos_key(e) for e in forced.entries}
+
+
+@pytest.mark.parametrize("solve", [solve_rank_game, solve_comeback_game])
+def test_thief_enters_the_lowest_winning_component(solve):
+    # two disjoint 3-cliques, rank 2: at k = 1 either one wins for the
+    # thief, and the certificate records the lower one, as successors
+    # list components by smallest member
+    g = Digraph(6, [(a + s, b + s) for s in (0, 3) for a, b in clique_edges(3)])
+    res = solve(g, 1)
+    assert res.winner == THIEF
+    first = [mk for key, mk in res.certificate.moves.items() if key[0] == tuple(range(6))]
+    assert first == [("enter", (0, 1, 2))]
