@@ -98,6 +98,17 @@ def test_scc_decompose_matches_oracle(ne, data):
         cycles = [c for c, _ in pairs]
         assert cycles == sorted(cycles, key=lambda c: c & -c)
         assert set(cycles) == {mask_of(c) for c in nontrivial_sccs(live, edges)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs, st.data())
+def test_ahead_of_matches_reachability(ne, data):
+    n, edges = ne
+    g = Digraph(n, edges)
+    for mask in _masks(data, g):
+        live = list(iter_mask(mask))
+        pairs = scc_decompose(g, mask)
+        cycles = [c for c, _ in pairs]
         reach = reach_sets(live, edges)
         for c, ahead in pairs:
             from_c = mask_of(set().union(*(reach[v] for v in iter_mask(c))))
