@@ -17,16 +17,25 @@ an infinite play is a thief win.
   vertex anywhere.  The union of both sets never exceeds ``k``.
 
 The move rules and the position and move key formats live only in
-:class:`PursuitGame`.  The solver enumerates the reachable arena
-breadth-first through ``PursuitGame.successors`` into flat adjacency
-arrays and computes the cops' forced-reachability set toward
-thief-stuck positions by the standard backward counting pass.  The
-extracted certificates are positional: cops follow strictly decreasing
-attractor ranks; a winning thief simply stays outside the attractor.
-Each recorded decision is named by ``PursuitGame.move_key``.  Replay
-goes the other way: ``PursuitGame.play`` decodes a recorded move key
-into its successor position and lets ``successors`` confirm it, rather
-than naming every legal move to find the recorded one.
+:class:`PursuitGame`.  The solver is local, after Liu & Smolka (ICALP
+1998): it walks depth first from the initial position through those
+rules and stores only the positions it meets before that one is
+decided.  A position becomes a cops win when the thief is stuck there,
+when every thief move from it reaches a cops win, or when some cops
+move does; each new win is passed on to the positions waiting on it.
+A thief position examines its moves one at a time in canonical order;
+a cops position tries the moves that put a real cop on the thief's
+vertex first, each group in canonical order.  What is undecided when
+the walk runs out is a thief win: there every thief position has an
+undecided successor and every cops position only undecided ones.
+The extracted certificates are positional.  The cops play, at each
+position, the move through which it was first shown won; that move
+leads to a position won earlier, so every play of the strategy ends.
+The thief plays its first successor, in canonical order, that is not a
+cops win.  Each recorded decision is named by ``PursuitGame.move_key``.
+Replay goes the other way: ``PursuitGame.play`` decodes a recorded move
+key into its successor position and lets ``successors`` confirm it,
+rather than naming every legal move to find the recorded one.
 """
 
 from __future__ import annotations
@@ -217,19 +226,79 @@ def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
     """Exact winner of the chosen pursuit variant, with a certificate."""
     game = PursuitGame(g, k, variant)
     limit = position_limit(ceiling)
+    n = g.n
+    full = g.full_mask
 
-    # breadth-first arena enumeration into flat CSR arrays
+    # Per stored position, by index: the position, whether it is a cops
+    # win, whether it is on the work stack, the successor codes it has
+    # still to examine (reversed, so the next one is last; ``None`` before
+    # it is expanded and once it is won or has none left), and for a won
+    # cops position the successor that won it.  A code is a target vertex
+    # after a thief turn and ``c2 << n | t2`` after a cops turn.
     positions: list = [INIT]
     index: dict = {INIT: 0}
-    flat = array("l")
-    offsets = array("l", [0])
-    thief_owned = bytearray()
+    won = bytearray(1)
+    active = bytearray(b"\1")
+    pending: list = [None]
+    via = array("l", [-1])
+    waiting: dict = {}  # position -> positions to tell once it is won
+    stack = [0]
 
-    i = 0
-    while i < len(positions):
-        pos = positions[i]
-        thief_owned.append(1 if game.owner(pos) == THIEF else 0)
-        for q in game.successors(pos):
+    def win(p: int, by: int) -> None:
+        won[p] = 1
+        via[p] = by
+        pending[p] = None
+        wins = [p]
+        while wins:
+            q = wins.pop()
+            for w in waiting.pop(q, ()):
+                if won[w]:
+                    continue
+                if positions[w][-1] == COPS:
+                    won[w] = 1
+                    via[w] = q
+                    pending[w] = None
+                    wins.append(w)
+                elif not active[w]:
+                    # a thief position waits on its current successor only:
+                    # that one is won now, so it examines the next
+                    active[w] = 1
+                    stack.append(w)
+
+    while stack and not won[0]:
+        p = stack[-1]
+        if won[p]:
+            stack.pop()
+            active[p] = 0
+            continue
+        pos = positions[p]
+        cops_turn = pos[-1] == COPS
+        if p:
+            v, c, t, _ = pos
+        else:
+            v = c = t = 0
+        todo = pending[p]
+        if todo is None:
+            if not p:
+                todo = [q[0] for q in game.successors(INIT)]
+            elif cops_turn:
+                # moves that put a real cop on the thief's vertex go first
+                vb = 1 << v
+                occupy, other = [], []
+                for c2, t2 in game.cop_configs(v, c, t):
+                    (occupy if c2 & vb else other).append(c2 << n | t2)
+                todo = occupy + other
+            else:
+                todo = game.thief_targets(v, c)
+            todo.reverse()
+            pending[p] = todo
+        descend = False
+        while todo:
+            code = todo[-1]
+            if cops_turn:
+                q = (v, code >> n, code & full, THIEF)
+            else:
+                q = (code, c, t, COPS)
             j = index.get(q)
             if j is None:
                 j = len(positions)
@@ -237,94 +306,61 @@ def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
                     raise ArenaCeilingError(variant, limit)
                 index[q] = j
                 positions.append(q)
-            flat.append(j)
-        offsets.append(len(flat))
-        i += 1
-
-    count = len(positions)
-
-    # predecessor lists by counting sort
-    indeg = array("l", [0]) * count
-    for j in flat:
-        indeg[j] += 1
-    poff = array("l", [0] * (count + 1))
-    for p in range(count):
-        poff[p + 1] = poff[p] + indeg[p]
-    preds = array("l", [0] * len(flat))
-    cursor = array("l", poff[:count])
-    for p in range(count):
-        for e in range(offsets[p], offsets[p + 1]):
-            q = flat[e]
-            preds[cursor[q]] = p
-            cursor[q] += 1
-
-    # backward reachability: cops force the play into stuck thief positions
-    rank = array("l", [-1] * count)
-    need = array("l", [0] * count)
-    queue = array("l")
-    for p in range(count):
-        deg = offsets[p + 1] - offsets[p]
-        if thief_owned[p]:
-            need[p] = deg
-            if deg == 0:
-                rank[p] = 0
-                queue.append(p)
-        else:
-            need[p] = 1
-    qi = 0
-    while qi < len(queue):
-        p = queue[qi]
-        qi += 1
-        r = rank[p] + 1
-        for e in range(poff[p], poff[p + 1]):
-            q = preds[e]
-            if rank[q] != -1:
+                won.append(0)
+                active.append(1)
+                pending.append(None)
+                via.append(-1)
+                stack.append(j)
+                descend = True
+                break
+            if won[j]:
+                if cops_turn:
+                    win(p, j)
+                    break
+                todo.pop()
                 continue
-            need[q] -= 1
-            if need[q] == 0:
-                rank[q] = r
-                queue.append(q)
+            # undecided, or open below on the stack: wait for it
+            waiting.setdefault(j, []).append(p)
+            if not cops_turn:
+                break
+            todo.pop()
+        if descend or won[p]:
+            continue
+        stack.pop()
+        active[p] = 0
+        if not todo:
+            if cops_turn:
+                pending[p] = None
+            else:
+                win(p, -1)
 
-    winner = COPS if rank[0] != -1 else THIEF
+    winner = COPS if won[0] else THIEF
     cert = StrategyCertificate(variant, k, winner)
 
-    # walk the strategy-restricted graph, recording the winner's choices
-    seen = bytearray(count)
-    stack = [0]
+    # walk the winner's strategy: cops follow the move that won each
+    # position, the thief its first successor that is not a cops win
+    seen = bytearray(len(positions))
     seen[0] = 1
-    while stack:
-        p = stack.pop()
-        lo, hi = offsets[p], offsets[p + 1]
-        if lo == hi:
-            continue
-        wins = thief_owned[p] == (1 if winner == THIEF else 0)
-        if wins:
-            chosen = -1
+    walk = [0]
+    while walk:
+        p = walk.pop()
+        pos = positions[p]
+        if (game.owner(pos) == COPS) == (winner == COPS):
             if winner == COPS:
-                r = rank[p]
-                for e in range(lo, hi):
-                    q = flat[e]
-                    if 0 <= rank[q] < r:
-                        chosen = q
-                        break
+                chosen = via[p]
             else:
-                for e in range(lo, hi):
-                    q = flat[e]
-                    if rank[q] == -1:
-                        chosen = q
-                        break
+                chosen = next((j for j in map(index.get, game.successors(pos))
+                               if not won[j]), -1)
             if chosen < 0:
-                raise AssertionError("no progressing move at a won position")
-            cert.moves[game.pos_key(positions[p])] = game.move_key(
-                positions[p], positions[chosen]
-            )
+                raise AssertionError(f"no winning move at a {winner}-won position")
+            cert.moves[game.pos_key(pos)] = game.move_key(pos, positions[chosen])
             nxt = [chosen]
         else:
-            nxt = [flat[e] for e in range(lo, hi)]
-        for q in nxt:
-            if not seen[q]:
-                seen[q] = 1
-                stack.append(q)
+            nxt = [index[q] for q in game.successors(pos)]
+        for j in nxt:
+            if not seen[j]:
+                seen[j] = 1
+                walk.append(j)
     return GameResult(winner, cert)
 
 

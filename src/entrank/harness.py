@@ -277,9 +277,13 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
     accepts proves a cops win without building the arena; a rejected
     one, or one that trips the ceiling, falls back to solving.  Winner
     agreement at each level is the strong form; the per-variant minimal
-    ``k`` values recorded on the way out follow from it.
+    ``k`` values recorded on the way out follow from it.  A variant with
+    a skipped level below its first cops win has no known minimal ``k``
+    and records none: a solve at a larger ``k`` can store fewer positions
+    than one at a smaller ``k``, so the first win may lie above the least.
     """
     lift: dict[str, StrategyCertificate] = {}  # cops certificate at the least k
+    unknown: set[str] = set()  # variants skipped below their first cops win
     for k in range(g.n + 1):
         winners = {}
         for variant in VARIANTS:
@@ -301,19 +305,30 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
                 rec.skips.append(
                     f"{variant} arena exceeded {exc.limit} positions at k={k}"
                 )
+                if variant not in lift:
+                    unknown.add(variant)
                 continue
             winners[variant] = res.winner
             if res.winner == COPS:
                 lift.setdefault(variant, res.certificate)
         if len(set(winners.values())) > 1:
             rec.failures.append(f"variant winners disagree at k={k}: {winners}")
-    first_win = {v: lift[v].k if v in lift else None for v in VARIANTS}
+    first_win = {v: lift[v].k if v in lift and v not in unknown else None
+                 for v in VARIANTS}
     rec.ent_k = first_win["ent"]
     rec.et_k = first_win["et"]
     rec.entv_k = first_win["entv"]
     rec.entanglement = rec.ent_k
     if len({v for v in first_win.values() if v is not None}) > 1:
         rec.failures.append(f"variant min-k values disagree: {first_win}")
+
+
+def _check_counts(jobs: int, ceiling: int | None) -> None:
+    """Refuse a job count or ceiling below 1, as the CLI does."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs!r}")
+    if ceiling is not None and ceiling < 1:
+        raise ValueError(f"ceiling must be at least 1, not {ceiling!r}")
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list[ReportRecord]:
@@ -325,6 +340,7 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list[ReportRecord]:
 
 def run_theorem_suite(corpus: CorpusLike, *, translate: bool = False,
                       jobs: int = 1, ceiling: int | None = None) -> VerificationReport:
+    _check_counts(jobs, ceiling)
     graphs, label = _resolve(corpus)
     tasks = [(gid, g.n, tuple(sorted(g.edges)), translate, ceiling) for gid, g in graphs]
     t0 = time.perf_counter()
@@ -334,6 +350,7 @@ def run_theorem_suite(corpus: CorpusLike, *, translate: bool = False,
 
 def run_equivalence_suite(corpus: CorpusLike, *, jobs: int = 1,
                           ceiling: int | None = None) -> VerificationReport:
+    _check_counts(jobs, ceiling)
     graphs, label = _resolve(corpus)
     tasks = [(gid, g.n, tuple(sorted(g.edges)), ceiling) for gid, g in graphs]
     t0 = time.perf_counter()

@@ -205,13 +205,14 @@ def _cop_options(v, c, vir, k, n, variant):
     ]
 
 
-def pursuit_cops_win(n, edges, k, variant):
-    """Fixpoint evaluation of a pursuit game on an explicit arena.
+def pursuit_cops_won(n, edges, k, variant):
+    """The cops' winning region of a pursuit game, by fixpoint on its arena.
 
-    Finite plays are cops' wins, so the cops' winning region is the
-    least fixpoint grown backward from positions where the thief is
-    stuck (all-successors rule at thief nodes, some-successor at cops
-    nodes).
+    Finite plays are cops' wins, so the region is the least fixpoint
+    grown backward from positions where the thief is stuck
+    (all-successors rule at thief nodes, some-successor at cops nodes).
+    Positions are ``("start",)`` and ``(v, cops, virtual cops, turn)``
+    with frozensets of vertices.
     """
     succ_of = {v: sorted({w for (u, w) in edges if u == v}) for v in range(n)}
     start = ("start",)
@@ -243,12 +244,48 @@ def pursuit_cops_win(n, edges, k, variant):
             if good:
                 won.add(node)
                 changed = True
-    return start in won
+    return won
+
+
+def pursuit_thief_moves(game, won):
+    """The thief's moves a pursuit certificate must record, from ``won``.
+
+    ``game`` is a package pursuit game and ``won`` the cops' winning
+    region of :func:`pursuit_cops_won`, which must not hold the start.
+    From the start, the thief takes at each of its turns the first
+    successor, in ``game.successors`` order, outside ``won``, and the
+    cops take every move.  Returns the recorded moves as ``{pos_key:
+    move_key}``.
+    """
+
+    def oracle_pos(pos):
+        key = game.pos_key(pos)
+        if len(key) == 1:
+            return ("start",)
+        v, cops, vir, turn = key
+        return (v, frozenset(cops), frozenset(vir), turn)
+
+    moves = {}
+    init = game.initial_position()
+    seen = {game.pos_key(init)}
+    todo = [init]
+    while todo:
+        pos = todo.pop()
+        nxt = game.successors(pos)
+        if game.owner(pos) == THIEF:
+            q = next(q for q in nxt if oracle_pos(q) not in won)
+            moves[game.pos_key(pos)] = game.move_key(pos, q)
+            nxt = [q]
+        for q in nxt:
+            if game.pos_key(q) not in seen:
+                seen.add(game.pos_key(q))
+                todo.append(q)
+    return moves
 
 
 def pursuit_min_k(n, edges, variant):
     k = 0
-    while not pursuit_cops_win(n, edges, k, variant):
+    while ("start",) not in pursuit_cops_won(n, edges, k, variant):
         k += 1
     return k
 

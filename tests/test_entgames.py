@@ -13,7 +13,8 @@ from entrank.entgames import (
     entanglement,
     solve_pursuit,
 )
-from entrank.gamecore import least_winning_k
+from entrank.gamecore import least_winning_k, verify_certificate
+from entrank.muterm import parse, term_graph
 
 from conftest import (
     clique_edges,
@@ -23,7 +24,13 @@ from conftest import (
     ucycle_edges,
     upath_edges,
 )
-from oracles import _cop_options, pursuit_cops_win, pursuit_min_k
+from oracles import (
+    _cop_options,
+    pursuit_cops_won,
+    pursuit_min_k,
+    pursuit_thief_moves,
+    replay_by_moves,
+)
 
 
 # Frozen expected values (oracle: oracles.pursuit_min_k, variant "ent").
@@ -57,15 +64,25 @@ def test_cliques_and_cycles():
 
 @pytest.mark.parametrize("variant", ["ent", "et", "entv"])
 def test_winners_match_oracle_at_each_k(variant):
+    # The winner is the oracle's, both certificates replay, and the
+    # thief's is the one the oracle's winning region fixes: at each thief
+    # turn, the first successor the cops do not win.
     rng = random.Random(5 + len(variant))
-    for _ in range(25):
-        n = rng.randrange(1, 5)
-        edges = random_edges(n, 0.45, rng)
+    for i in range(28):
+        n = rng.randrange(1, 5) if i < 25 else 6
+        edges = random_edges(n, 0.45 if i < 25 else 0.3, rng)
         g = dg(n, edges)
         for k in range(n + 1):
             res = solve_pursuit(g, k, variant=variant)
-            expect = COPS if pursuit_cops_win(n, tuple(edges), k, variant) else THIEF
+            won = pursuit_cops_won(n, tuple(edges), k, variant)
+            expect = COPS if ("start",) in won else THIEF
             assert res.winner == expect, (variant, n, edges, k)
+            cert = res.certificate
+            assert verify_certificate(g, variant, k, cert).ok, (variant, n, edges, k)
+            game = PursuitGame(g, k, variant)
+            assert replay_by_moves(game, cert)[0], (variant, n, edges, k)
+            if expect == THIEF:
+                assert cert.moves == pursuit_thief_moves(game, won), (variant, n, edges, k)
 
 
 def test_min_k_matches_oracle():
@@ -98,6 +115,30 @@ def test_more_cops_never_hurt():
         # once the cops win at k they keep winning for larger budgets
         assert wins == sorted(wins)
         assert wins[-1], "n cops always win"
+
+
+def _three_name_term(d: int) -> str:
+    """``d`` nested binders cycling through the names x, y, z; each body
+    refers to its own binder and the one before it."""
+    names = "xyz"
+    text = "a"
+    for i in reversed(range(d)):
+        me = names[i % 3]
+        if i:
+            text = f"f({names[(i - 1) % 3]}, f({me}, {text}))"
+        else:
+            text = f"f({me}, {text})"
+        text = f"mu {me}. {text}"
+    return text
+
+
+def test_three_name_term_is_solved_under_the_default_ceiling():
+    # At d = 16 (79 vertices) the whole ent arena at k = 2 has more than
+    # 400,000 positions; the cops win there, which needs far fewer.
+    assert _three_name_term(3) == "mu x. f(x, mu y. f(x, f(y, mu z. f(y, f(z, a)))))"
+    g = term_graph(parse(_three_name_term(16)))
+    assert g.n == 79
+    assert entanglement(g) == 2
 
 
 def test_k_bounds_are_validated():

@@ -137,12 +137,28 @@ def test_play_follows_move_keys_and_refuses_bad_ones(game_id):
                         assert game.play(pos, mk) is None, (n, k, game.pos_key(pos), mk)
 
 
+def _least_ceiling(solve, high):
+    """The least ceiling, up to ``high``, under which ``solve`` does not
+    raise :class:`ArenaCeilingError`, found by bisection."""
+    low = 1
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            solve(mid)
+        except ArenaCeilingError:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
 @pytest.mark.parametrize("game_id", ("rank", "comeback", "ent", "et", "entv"))
 def test_solving_and_replay_count_positions_against_the_ceiling(game_id):
     # The games take no ceiling; the walks that store their positions do.
     # A ceiling of 1 stops both walks, naming the game; one at the number
-    # of reachable positions stops neither.  The pursuit solver stores the
-    # whole arena, so one position fewer stops it.
+    # of reachable positions stops neither.  The pursuit solver stores
+    # only the positions its answer needs: fewer than are reachable where
+    # the cops win, and one position fewer than it stores stops it.
     g = dg(4, clique_edges(4))
     for k in (2, 3, 4):  # thief wins at 2, cops wins at 3 and 4
         cert = GAMES[game_id].solve(g, k).certificate
@@ -155,5 +171,10 @@ def test_solving_and_replay_count_positions_against_the_ceiling(game_id):
         assert GAMES[game_id].solve(g, k, reachable).winner == cert.winner
         assert verify_certificate(g, game_id, k, cert, ceiling=reachable).ok
         if game_id in ("ent", "et", "entv"):
+            least = _least_ceiling(lambda c: GAMES[game_id].solve(g, k, c), reachable)
+            assert GAMES[game_id].solve(g, k, least).winner == cert.winner
+            assert least <= reachable
+            if k > 2:
+                assert least < reachable
             with pytest.raises(ArenaCeilingError):
-                GAMES[game_id].solve(g, k, reachable - 1)
+                GAMES[game_id].solve(g, k, least - 1)

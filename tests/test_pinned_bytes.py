@@ -33,9 +33,9 @@ CERTIFICATES = {
     ("entv", 1): "f3505f70105702e3c3fa8bdef3fcd4d1621b32e19dbf5c3459d33efa21027546",
     ("rank", 2): "2803e2ac9659e08d9d4ed3bacc3f75f7031e162ee4bf6d52809945ede2754119",
     ("comeback", 2): "3b5f78cc758650156b2a0d8dfbc4afb97bf2582906501bd1d70774e7373443cc",
-    ("ent", 2): "193e7db6a42cfc60dc265486736a432f936020b6ead9fcc61dca033341a436b7",
-    ("et", 2): "2f4d82fc56ed8880a9a59ebd73e30d7d4d171d9a1453848411189e08bc1ce922",
-    ("entv", 2): "e7cbcffd90f9a98d8788692b186245534a8712caa19482108e4b8edb0ed8ce30",
+    ("ent", 2): "cb9aada8366816ec7b737c1e6ec0b8685c900cfc6b1299fdcab58c93282b6d24",
+    ("et", 2): "3c92e876f84fa9e94c1a6078baaaef097ddcf8121aa2ac3954185ca4a0c9ef35",
+    ("entv", 2): "0e666f4bb27af5f18211e8c6eea1b5685a5512c1a18ce8c6dfaf60ea4825461e",
     ("translate", 2): "d837a9c8cee253345e158c13f470b5591e8f925f4117e6a84e9aea267c5838e0",
 }
 
