@@ -17,43 +17,25 @@ an infinite play is a thief win.
   vertex anywhere.  The union of both sets never exceeds ``k``.
 
 The move rules and the position and move key formats live only in
-:class:`PursuitGame`.  The solver is local, after Liu & Smolka (ICALP
-1998): it walks depth first from the initial position through those
-rules and stores only the positions it meets before that one is
-decided.  A position becomes a cops win when the thief is stuck there,
-when every thief move from it reaches a cops win, or when some cops
-move does; each new win is passed on to the positions waiting on it.
-A thief position examines its moves one at a time in canonical order;
-a cops position tries the moves that put a real cop on the thief's
-vertex first, each group in canonical order.  What is undecided when
-the walk runs out is a thief win: there every thief position has an
-undecided successor and every cops position only undecided ones.
-The extracted certificates are positional.  The cops play, at each
-position, the move through which it was first shown won; that move
-leads to a position won earlier, so every play of the strategy ends.
-The thief plays its first successor, in canonical order, that is not a
-cops win.  Each recorded decision is named by ``PursuitGame.move_key``.
-Replay goes the other way: ``PursuitGame.play`` decodes a recorded move
-key into its successor position and lets ``successors`` confirm it,
-rather than naming every legal move to find the recorded one.
+:class:`PursuitGame`; :func:`.gamecore.solve_finite_game` solves it.
+``cop_configs`` lists the moves that put a real cop on the thief's
+vertex first, each group in ascending order, so the solver tries those
+first.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import partial
 
 from .digraph import Digraph, iter_mask, mask_of
 from .gamecore import (
     COPS,
     THIEF,
-    ArenaCeilingError,
     GAMES,
     GameResult,
     GameSpec,
-    StrategyCertificate,
     least_winning_k,
-    position_limit,
+    solve_finite_game,
 )
 
 __all__ = [
@@ -106,35 +88,35 @@ class PursuitGame:
         return [w for w in self.g.successors(v) if not (cmask >> w) & 1]
 
     def cop_configs(self, v: int, cmask: int, vmask: int) -> list[tuple[int, int]]:
-        """Legal ``(cop_mask, virtual_mask)`` results of one Cops turn."""
+        """Legal ``(cop_mask, virtual_mask)`` results of one Cops turn.
+
+        Those that put a real cop on ``v`` come first, then the rest,
+        each group in ascending order.  The thief's vertex ``v`` is never
+        in ``cmask`` at a cops position, so no result comes out twice.
+        """
         k = self.k
         vb = 1 << v
         if self.variant == "ent":
-            configs = {cmask}
+            occupy = [((cmask ^ (1 << x)) | vb, 0) for x in iter_mask(cmask)]
+            occupy.reverse()  # dropping a lower cop leaves a larger mask
             if cmask.bit_count() < k:
-                configs.add(cmask | vb)
-            for x in range(self.g.n):
-                if (cmask >> x) & 1:
-                    configs.add((cmask & ~(1 << x)) | vb)
-            return sorted((c, 0) for c in configs)
+                occupy.append((cmask | vb, 0))
+            occupy.append((cmask, 0))
+            return occupy
         if self.variant == "et":
-            configs = set()
-            for s in _submasks(cmask):
-                configs.add(s)
-                if (s | vb).bit_count() <= k:
-                    configs.add(s | vb)
-            return sorted((c, 0) for c in configs)
+            subs = _submasks(cmask)
+            return ([(s | vb, 0) for s in subs if s.bit_count() < k]
+                    + [(s, 0) for s in subs])
         # virtual variant
         if (vmask >> v) & 1:
             return [(cmask | vb, vmask & ~vb)]
-        # Each (c2, t2) comes out once: v is not in cmask and cmask and
-        # vmask are disjoint at every reachable cops position, so c2 never
-        # meets vmask, and a reserved vertex w outside vmask cannot
-        # rebuild a submask of vmask.
+        # Each (c2, t2) comes out once: c2 never meets vmask, since cmask
+        # and vmask are disjoint at every reachable cops position, and a
+        # reserved vertex w outside vmask cannot rebuild a submask of vmask.
         full = self.g.full_mask
-        out = []
+        occupy, other = [], []
         for s in _submasks(cmask):
-            for c2 in (s, s | vb):
+            for c2, out in ((s | vb, occupy), (s, other)):
                 room = k - c2.bit_count()
                 fresh = [1 << w for w in iter_mask(full & ~(c2 | vmask))]
                 for t in _submasks(vmask):
@@ -144,8 +126,9 @@ class PursuitGame:
                     out.append((c2, t))
                     if left:
                         out.extend((c2, t | wb) for wb in fresh)
-        out.sort()
-        return out
+        occupy.sort()
+        other.sort()
+        return occupy + other
 
     # -- game protocol ----------------------------------------------------
 
@@ -158,7 +141,10 @@ class PursuitGame:
         return pos[3]
 
     def winner_if_terminal(self, pos) -> str | None:
-        if self.owner(pos) == THIEF and not self.successors(pos):
+        if pos == INIT:
+            return None if self.g.n else COPS
+        v, cmask, _, turn = pos
+        if turn == THIEF and not self.g.succ_masks[v] & ~cmask:
             return COPS
         return None
 
@@ -217,151 +203,11 @@ class PursuitGame:
         v, cmask, vmask, turn = pos
         return (v, tuple(iter_mask(cmask)), tuple(iter_mask(vmask)), turn)
 
-    def memo_key(self, pos):
-        return pos
-
 
 def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
                   ceiling: int | None = None) -> GameResult:
     """Exact winner of the chosen pursuit variant, with a certificate."""
-    game = PursuitGame(g, k, variant)
-    limit = position_limit(ceiling)
-    n = g.n
-    full = g.full_mask
-
-    # Per stored position, by index: the position, whether it is a cops
-    # win, whether it is on the work stack, the successor codes it has
-    # still to examine (reversed, so the next one is last; ``None`` before
-    # it is expanded and once it is won or has none left), and for a won
-    # cops position the successor that won it.  A code is a target vertex
-    # after a thief turn and ``c2 << n | t2`` after a cops turn.
-    positions: list = [INIT]
-    index: dict = {INIT: 0}
-    won = bytearray(1)
-    active = bytearray(b"\1")
-    pending: list = [None]
-    via = array("l", [-1])
-    waiting: dict = {}  # position -> positions to tell once it is won
-    stack = [0]
-
-    def win(p: int, by: int) -> None:
-        won[p] = 1
-        via[p] = by
-        pending[p] = None
-        wins = [p]
-        while wins:
-            q = wins.pop()
-            for w in waiting.pop(q, ()):
-                if won[w]:
-                    continue
-                if positions[w][-1] == COPS:
-                    won[w] = 1
-                    via[w] = q
-                    pending[w] = None
-                    wins.append(w)
-                elif not active[w]:
-                    # a thief position waits on its current successor only:
-                    # that one is won now, so it examines the next
-                    active[w] = 1
-                    stack.append(w)
-
-    while stack and not won[0]:
-        p = stack[-1]
-        if won[p]:
-            stack.pop()
-            active[p] = 0
-            continue
-        pos = positions[p]
-        cops_turn = pos[-1] == COPS
-        if p:
-            v, c, t, _ = pos
-        else:
-            v = c = t = 0
-        todo = pending[p]
-        if todo is None:
-            if not p:
-                todo = [q[0] for q in game.successors(INIT)]
-            elif cops_turn:
-                # moves that put a real cop on the thief's vertex go first
-                vb = 1 << v
-                occupy, other = [], []
-                for c2, t2 in game.cop_configs(v, c, t):
-                    (occupy if c2 & vb else other).append(c2 << n | t2)
-                todo = occupy + other
-            else:
-                todo = game.thief_targets(v, c)
-            todo.reverse()
-            pending[p] = todo
-        descend = False
-        while todo:
-            code = todo[-1]
-            if cops_turn:
-                q = (v, code >> n, code & full, THIEF)
-            else:
-                q = (code, c, t, COPS)
-            j = index.get(q)
-            if j is None:
-                j = len(positions)
-                if j >= limit:
-                    raise ArenaCeilingError(variant, limit)
-                index[q] = j
-                positions.append(q)
-                won.append(0)
-                active.append(1)
-                pending.append(None)
-                via.append(-1)
-                stack.append(j)
-                descend = True
-                break
-            if won[j]:
-                if cops_turn:
-                    win(p, j)
-                    break
-                todo.pop()
-                continue
-            # undecided, or open below on the stack: wait for it
-            waiting.setdefault(j, []).append(p)
-            if not cops_turn:
-                break
-            todo.pop()
-        if descend or won[p]:
-            continue
-        stack.pop()
-        active[p] = 0
-        if not todo:
-            if cops_turn:
-                pending[p] = None
-            else:
-                win(p, -1)
-
-    winner = COPS if won[0] else THIEF
-    cert = StrategyCertificate(variant, k, winner)
-
-    # walk the winner's strategy: cops follow the move that won each
-    # position, the thief its first successor that is not a cops win
-    seen = bytearray(len(positions))
-    seen[0] = 1
-    walk = [0]
-    while walk:
-        p = walk.pop()
-        pos = positions[p]
-        if (game.owner(pos) == COPS) == (winner == COPS):
-            if winner == COPS:
-                chosen = via[p]
-            else:
-                chosen = next((j for j in map(index.get, game.successors(pos))
-                               if not won[j]), -1)
-            if chosen < 0:
-                raise AssertionError(f"no winning move at a {winner}-won position")
-            cert.moves[game.pos_key(pos)] = game.move_key(pos, positions[chosen])
-            nxt = [chosen]
-        else:
-            nxt = [index[q] for q in game.successors(pos)]
-        for j in nxt:
-            if not seen[j]:
-                seen[j] = 1
-                walk.append(j)
-    return GameResult(winner, cert)
+    return solve_finite_game(PursuitGame(g, k, variant), ceiling)
 
 
 def entanglement(g: Digraph, ceiling: int | None = None) -> int:

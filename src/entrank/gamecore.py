@@ -7,6 +7,7 @@ Every game object in this package exposes the same small protocol:
 * ``owner(pos)`` -> ``"thief"`` or ``"cops"``
 * ``winner_if_terminal(pos)`` -> winner string or ``None``
 * ``successors(pos)`` -> list of successor positions in canonical order
+  (the order in which the solver examines them)
 * ``move_key(src, dst)`` -> canonical key of the move from ``src`` to
   its successor ``dst``
 * ``play(pos, move_key)`` -> the successor of ``pos`` that the key
@@ -16,8 +17,18 @@ Every game object in this package exposes the same small protocol:
   ``successors`` and ``move_key``; solvers walk ``successors`` and name
   only the moves they record, replay follows recorded moves by ``play``
 * ``pos_key(pos)`` -> hashable, instance-independent position encoding
-* ``memo_key(pos)`` -> cheap per-instance hashable key
-* ``finite_plays`` -- True when no infinite play exists
+* ``finite_plays`` -- True when no infinite play exists; it only tells
+  replay whether a thief strategy must be checked for cycles
+
+A position is its own dictionary key within one game instance:
+pursuit and shrink positions are tuples, and comeback positions are
+hash-consed, so equal ones are the same object.
+
+One solver, :func:`solve_finite_game`, solves every game.  It walks
+depth first from the initial position; a position still undecided when
+the walk ends is a thief win, so infinite plays go to the thief.  The
+cops play the move that first won a position, and the thief plays its
+first successor, in ``successors`` order, that the cops have not won.
 
 Canonical position keys:
 
@@ -54,8 +65,8 @@ the thief wins).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any, Callable, NamedTuple
 
 THIEF = "thief"
@@ -73,7 +84,6 @@ __all__ = [
     "GameResult",
     "ReplayReport",
     "solve_finite_game",
-    "extract_certificate",
     "least_winning_k",
     "verify_certificate",
     "GameSpec",
@@ -161,120 +171,156 @@ def make_game(g, game_id: str, k: int):
     return GAMES[game_id].build(g, k)
 
 
-class _Frame:
-    __slots__ = ("pos", "children", "i")
-
-    def __init__(self, pos):
-        self.pos = pos
-        self.children = None
-        self.i = 0
-
-
 def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
-    """Backward induction for games whose plays are all finite.
+    """Winner from the initial position, with a positional certificate.
 
-    Returns the winner from the initial position together with a
-    positional certificate extracted from the evaluated value table.
-    Raises :class:`ArenaCeilingError` when the table would hold more than
-    ``ceiling`` positions (see :func:`position_limit`).
+    A local solver after Liu & Smolka (ICALP 1998), for any game with
+    finitely many positions: it stores only the positions it meets
+    before the initial one is decided.  A position becomes a cops win
+    when it is terminal with that winner, when every thief move from it
+    reaches a cops win, or when some cops move does; each new win is
+    passed on to the positions waiting on it.  A thief position examines
+    its moves one at a time, a cops position all of them, both in
+    ``successors`` order.  The certificate follows the rules in the
+    module docstring; a cops move always leads to a position won
+    earlier, so every play of the cops strategy ends.  Raises
+    :class:`ArenaCeilingError` when more than ``ceiling`` positions would
+    be stored (see :func:`position_limit`).
     """
     limit = position_limit(ceiling)
-    memo: dict[Any, bool] = {}  # memo_key -> cops win?
-    onstack: set[Any] = set()
+    owner = game.owner
     init = game.initial_position()
-    stack = [_Frame(init)]
-    onstack.add(game.memo_key(init))
-    while stack:
-        f = stack[-1]
-        key = game.memo_key(f.pos)
-        if key in memo:
+
+    # Per stored position, by index: the position, whether the cops move
+    # there, whether it is terminal, whether it is a cops win, whether it
+    # is on the work stack, the successors it has still to examine
+    # (reversed, so the next one is last; ``None`` when it is not being
+    # examined), and for a won cops position the successor that won it.
+    positions: list = [init]
+    index: dict = {init: 0}
+    cops = bytearray([owner(init) == COPS])
+    terminal = bytearray(1)
+    won = bytearray(1)
+    active = bytearray(b"\1")
+    pending: list = [None]
+    via = array("l", [-1])
+    waiting: dict = {}  # position index -> positions to tell once it is won
+    stack = [0]
+
+    def win(p: int, by: int) -> None:
+        won[p] = 1
+        via[p] = by
+        pending[p] = None
+        wins = [p]
+        while wins:
+            q = wins.pop()
+            for w in waiting.pop(q, ()):
+                if won[w]:
+                    continue
+                if cops[w]:
+                    won[w] = 1
+                    via[w] = q
+                    pending[w] = None
+                    wins.append(w)
+                elif not active[w]:
+                    # a thief position waits on its current successor only:
+                    # that one is won now, so it examines the next
+                    active[w] = 1
+                    stack.append(w)
+
+    while stack and not won[0]:
+        p = stack[-1]
+        if won[p]:
             stack.pop()
-            onstack.discard(key)
+            active[p] = 0
             continue
-        if f.children is None:
-            term = game.winner_if_terminal(f.pos)
+        cops_turn = cops[p]
+        todo = pending[p]
+        if todo is None:
+            pos = positions[p]
+            term = game.winner_if_terminal(pos)
             if term is not None:
-                memo[key] = term == COPS
-                stack.pop()
-                onstack.discard(key)
+                terminal[p] = 1
+                if term == COPS:
+                    win(p, -1)
+                else:
+                    stack.pop()
+                    active[p] = 0
                 continue
-            f.children = game.successors(f.pos)
-        cops_node = game.owner(f.pos) == COPS
-        result: bool | None = None
-        descend = None
-        while f.i < len(f.children):
-            q = f.children[f.i]
-            qkey = game.memo_key(q)
-            r = memo.get(qkey)
-            if r is None:
-                if qkey in onstack:
-                    raise AssertionError("cycle in a finite-play game graph")
-                descend = q
+            todo = game.successors(pos)
+            todo.reverse()
+            pending[p] = todo
+        descend = False
+        while todo:
+            q = todo[-1]
+            j = index.get(q)
+            if j is None:
+                j = len(positions)
+                if j >= limit:
+                    raise ArenaCeilingError(game.game_id, limit)
+                index[q] = j
+                positions.append(q)
+                cops.append(owner(q) == COPS)
+                terminal.append(0)
+                won.append(0)
+                active.append(1)
+                pending.append(None)
+                via.append(-1)
+                stack.append(j)
+                descend = True
                 break
-            f.i += 1
-            if cops_node and r:
-                result = True
+            if won[j]:
+                if cops_turn:
+                    win(p, j)
+                    break
+                todo.pop()
+                continue
+            # undecided, or open below on the stack: wait for it
+            waiting.setdefault(j, []).append(p)
+            if not cops_turn:
+                # resumed, from a fresh ``successors`` list, once j is won
+                pending[p] = None
                 break
-            if not cops_node and not r:
-                result = False
-                break
-        if descend is not None:
-            # every position on the stack ends up in the memo
-            if len(memo) + len(stack) >= limit:
-                raise ArenaCeilingError(game.game_id, limit)
-            stack.append(_Frame(descend))
-            onstack.add(game.memo_key(descend))
+            todo.pop()
+        if descend or won[p]:
             continue
-        if result is None:
-            # options exhausted without a short-circuit
-            result = not cops_node
-        memo[key] = result
         stack.pop()
-        onstack.discard(key)
+        active[p] = 0
+        if not todo:
+            pending[p] = None
+            if not cops_turn:
+                win(p, -1)
 
-    winner = COPS if memo[game.memo_key(init)] else THIEF
+    winner = COPS if won[0] else THIEF
+    cert = StrategyCertificate(game.game_id, game.k, winner)
 
-    def value(pos) -> str | None:
-        r = memo.get(game.memo_key(pos))
-        if r is None:
-            return None
-        return COPS if r else THIEF
-
-    cert = extract_certificate(game, winner, value)
-    return GameResult(winner, cert)
-
-
-def extract_certificate(game, winner: str, value: Callable[[Any], str | None]) -> StrategyCertificate:
-    """Collect the winner's canonical winning move at each reachable position.
-
-    Positions are explored from the initial one, following only the
-    recorded move at the winner's turns and every legal move at the
-    opponent's.  ``value(pos)`` reports the evaluated winner at ``pos``
-    (``None`` for positions the solver never had to evaluate).
-    """
-    moves: dict[Any, Any] = {}
-    init = game.initial_position()
-    seen = {game.memo_key(init)}
-    todo = [init]
-    while todo:
-        pos = todo.pop()
-        if game.winner_if_terminal(pos) is not None:
+    # walk the winner's strategy from the initial position: the winner's
+    # recorded move at its turns, every move at the opponent's
+    seen = bytearray(len(positions))
+    seen[0] = 1
+    walk = [0]
+    while walk:
+        p = walk.pop()
+        if terminal[p]:
             continue
-        nxt = game.successors(pos)
-        if game.owner(pos) == winner:
-            q = next((q for q in nxt if value(q) == winner), None)
-            if q is None:
-                raise AssertionError(
-                    f"no winning move at a {winner}-won position"
-                )
-            moves[game.pos_key(pos)] = game.move_key(pos, q)
-            nxt = [q]
-        for q in nxt:
-            qkey = game.memo_key(q)
-            if qkey not in seen:
-                seen.add(qkey)
-                todo.append(q)
-    return StrategyCertificate(game.game_id, game.k, winner, moves)
+        pos = positions[p]
+        if cops[p] == won[0]:
+            if won[0]:
+                chosen = via[p]
+            else:
+                chosen = next((j for j in map(index.get, game.successors(pos))
+                               if not won[j]), -1)
+            if chosen < 0:
+                raise AssertionError(f"no winning move at a {winner}-won position")
+            cert.moves[game.pos_key(pos)] = game.move_key(pos, positions[chosen])
+            nxt = (chosen,)
+        else:
+            nxt = map(index.__getitem__, game.successors(pos))
+        for j in nxt:
+            if not seen[j]:
+                seen[j] = 1
+                walk.append(j)
+    return GameResult(winner, cert)
 
 
 def least_winning_k(g, game_id: str, ceiling: int | None = None) -> int:
@@ -309,8 +355,7 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
         return ReplayReport(False, f"unknown winner tag {winner!r}")
 
     init = game.initial_position()
-    init_mk = game.memo_key(init)
-    index: dict[Any, int] = {init_mk: 0}
+    index: dict[Any, int] = {init: 0}
     nodes = [init]
     succ: list[list[int]] = []
     parent: dict[int, int] = {}
@@ -359,13 +404,12 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
             chosen = game.successors(pos)
         row = []
         for q in chosen:
-            qkey = game.memo_key(q)
-            j = index.get(qkey)
+            j = index.get(q)
             if j is None:
                 j = len(nodes)
                 if j >= limit:
                     raise ArenaCeilingError(game_id, limit)
-                index[qkey] = j
+                index[q] = j
                 nodes.append(q)
                 parent[j] = i
             row.append(j)
@@ -484,7 +528,8 @@ def _field(obj, name: str, kind: type):
     if not isinstance(obj, dict) or name not in obj:
         raise ValueError(f"certificate JSON lacks the field {name!r}")
     value = obj[name]
-    if not isinstance(value, kind):
+    # a JSON ``true`` decodes to a bool, which Python counts as an int
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(
             f"certificate JSON field {name!r} is not a {kind.__name__}: {value!r}"
         )
@@ -492,7 +537,7 @@ def _field(obj, name: str, kind: type):
 
 
 def _entry(entry_keys: list, i, name: str):
-    if not isinstance(i, int) or not 0 <= i < len(entry_keys):
+    if type(i) is not int or not 0 <= i < len(entry_keys):
         raise ValueError(f"certificate JSON field {name!r} names no table entry: {i!r}")
     return entry_keys[i]
 
@@ -503,7 +548,7 @@ def _from_json(obj, names, entry_keys) -> tuple:
         kind = _FIELD_KINDS[name]
         if kind == "verts":
             value = _field(obj, name, list)
-            if not all(map(isinstance, value, repeat(int))):
+            if not {int}.issuperset(map(type, value)):
                 raise ValueError(f"certificate JSON field {name!r} is not a vertex list: {value!r}")
             value = tuple(value)
         elif kind == "ref":

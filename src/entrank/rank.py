@@ -23,8 +23,8 @@ of its vertices, spending one unit of a budget of ``k``; the cops win
 iff the graph runs out of cycles before the budget runs out.  The
 comeback variant additionally lets the thief return to any component
 that was reachable *ahead* of an earlier choice, restoring the budget
-in force back then.  Both games are finite and solved exactly by
-backward induction.
+in force back then.  Both games are finite and solved exactly by the
+one local solver, :func:`.gamecore.solve_finite_game`.
 """
 
 from __future__ import annotations
@@ -214,9 +214,6 @@ class RankShrinkGame:
         mask, turn, n = pos
         return (tuple(iter_mask(mask)), turn, n)
 
-    def memo_key(self, pos):
-        return pos
-
 
 def solve_rank_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
     """Winner and positional certificate of the shrinking game at ``k``."""
@@ -340,9 +337,6 @@ class ComebackGame:
             k = (tuple(iter_mask(pos.mask)), pos.turn, pos.n, children)
             self._keys[pos.uid] = k
         return k
-
-    def memo_key(self, pos: CPos) -> int:
-        return pos.uid
 
 
 def solve_comeback_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:

@@ -312,7 +312,7 @@ def replay_by_moves(game, cert):
         return False, f"unknown winner tag {winner!r}", None
 
     init = game.initial_position()
-    index = {game.memo_key(init): 0}
+    index = {init: 0}
     nodes = [init]
     rows = []
     parent = {}
@@ -349,12 +349,11 @@ def replay_by_moves(game, cert):
                         trace_to(i) + [(key, mk)])
         row = []
         for mk, q in opts:
-            qkey = game.memo_key(q)
-            if qkey not in index:
-                index[qkey] = len(nodes)
+            if q not in index:
+                index[q] = len(nodes)
                 nodes.append(q)
-                parent[index[qkey]] = (i, mk)
-            row.append(index[qkey])
+                parent[index[q]] = (i, mk)
+            row.append(index[q])
         rows.append(row)
         i += 1
 

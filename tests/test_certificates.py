@@ -123,9 +123,15 @@ def test_overclaiming_winner_fails_replay():
         ("ent", lambda o: o.update(game="nope", moves=[]), "game"),
         ("ent", lambda o: o.update(table=[]), "table"),
         ("rank", lambda o: o["moves"][0].update(position={"init": True}), "vertices"),
+        # JSON ``true`` is no integer, though Python's bool is an int
+        ("ent", lambda o: o.update(k=True), "k"),
+        ("ent", lambda o: o["moves"][0]["position"].update(cops=[True]), "cops"),
+        ("ent", lambda o: o["moves"][0]["position"].update(vertex=True), "vertex"),
+        ("comeback", lambda o: o["moves"][0]["position"].update(ref=False), "ref"),
     ],
     ids=["empty", "no-moves", "no-cops", "cops-not-a-list", "ref-out-of-range",
-         "comebacks-out-of-range", "unknown-game", "table-on-ent", "init-on-rank"],
+         "comebacks-out-of-range", "unknown-game", "table-on-ent", "init-on-rank",
+         "k-is-a-bool", "cops-vertex-is-a-bool", "vertex-is-a-bool", "ref-is-a-bool"],
 )
 def test_malformed_json_names_the_field(game_id, mutate, field):
     g = dg(3, dicycle_edges(3))

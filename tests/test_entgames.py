@@ -6,14 +6,13 @@ import pytest
 
 from entrank.digraph import Digraph, iter_mask, mask_of
 from entrank.entgames import (
-    ArenaCeilingError,
     COPS,
     THIEF,
     PursuitGame,
     entanglement,
     solve_pursuit,
 )
-from entrank.gamecore import least_winning_k, verify_certificate
+from entrank.gamecore import ArenaCeilingError, least_winning_k, verify_certificate
 from entrank.muterm import parse, term_graph
 
 from conftest import (
@@ -161,7 +160,8 @@ def test_ceiling_raises_instead_of_guessing():
 
 def test_cop_configs_match_oracle_without_duplicates():
     # Every reachable cops position of each variant: the configurations
-    # come out sorted, each once, and as a set equal the oracle's rules.
+    # come out each once, those that put a real cop on the thief's vertex
+    # first and each group sorted, and as a set equal the oracle's rules.
     rng = random.Random(53)
     for _ in range(10):
         n = rng.randrange(3, 7)
@@ -176,7 +176,9 @@ def test_cop_configs_match_oracle_without_duplicates():
                     if game.owner(pos) == COPS:
                         v, cmask, vmask, _ = pos
                         got = game.cop_configs(v, cmask, vmask)
-                        assert got == sorted(set(got)), (variant, n, k, pos)
+                        assert len(set(got)) == len(got), (variant, n, k, pos)
+                        occupy_first = sorted(got, key=lambda ct: (not ct[0] >> v & 1, ct))
+                        assert got == occupy_first, (variant, n, k, pos)
                         want = {
                             (mask_of(c), mask_of(t))
                             for c, t in _cop_options(

@@ -14,14 +14,14 @@ from conftest import clique_edges, dg, random_edges
 def _reachable(game):
     """Every position reachable from the initial one, each once."""
     init = game.initial_position()
-    seen = {game.memo_key(init)}
+    seen = {init}
     todo = [init]
     while todo:
         pos = todo.pop()
         yield pos
         for q in game.successors(pos):
-            if game.memo_key(q) not in seen:
-                seen.add(game.memo_key(q))
+            if q not in seen:
+                seen.add(q)
                 todo.append(q)
 
 
@@ -156,9 +156,10 @@ def _least_ceiling(solve, high):
 def test_solving_and_replay_count_positions_against_the_ceiling(game_id):
     # The games take no ceiling; the walks that store their positions do.
     # A ceiling of 1 stops both walks, naming the game; one at the number
-    # of reachable positions stops neither.  The pursuit solver stores
-    # only the positions its answer needs: fewer than are reachable where
-    # the cops win, and one position fewer than it stores stops it.
+    # of reachable positions stops neither.  The solver stores only the
+    # positions its answer needs, and one position fewer than it stores
+    # stops it; in the pursuit games that is fewer than are reachable
+    # where the cops win.
     g = dg(4, clique_edges(4))
     for k in (2, 3, 4):  # thief wins at 2, cops wins at 3 and 4
         cert = GAMES[game_id].solve(g, k).certificate
@@ -170,11 +171,10 @@ def test_solving_and_replay_count_positions_against_the_ceiling(game_id):
             assert (exc.value.game_id, exc.value.limit) == (game_id, 1)
         assert GAMES[game_id].solve(g, k, reachable).winner == cert.winner
         assert verify_certificate(g, game_id, k, cert, ceiling=reachable).ok
-        if game_id in ("ent", "et", "entv"):
-            least = _least_ceiling(lambda c: GAMES[game_id].solve(g, k, c), reachable)
-            assert GAMES[game_id].solve(g, k, least).winner == cert.winner
-            assert least <= reachable
-            if k > 2:
-                assert least < reachable
-            with pytest.raises(ArenaCeilingError):
-                GAMES[game_id].solve(g, k, least - 1)
+        least = _least_ceiling(lambda c: GAMES[game_id].solve(g, k, c), reachable)
+        assert GAMES[game_id].solve(g, k, least).winner == cert.winner
+        assert least <= reachable
+        if k > 2 and game_id in ("ent", "et", "entv"):
+            assert least < reachable
+        with pytest.raises(ArenaCeilingError):
+            GAMES[game_id].solve(g, k, least - 1)

@@ -139,6 +139,39 @@ def test_exhausted_component_forces_a_comeback():
         assert game.pos_key(np) in {game.pos_key(e) for e in forced.entries}
 
 
+def test_comeback_positions_are_interned():
+    # The solver keys its tables by the positions themselves, and a
+    # comeback position hashes by identity, so equal positions must be one
+    # object: two deletion orders reach the same thief position, and the
+    # reachable objects are one-to-one with (mask, turn, entry uids, n).
+    game = ComebackGame(Digraph(4, clique_edges(4)), 3)
+    routes = []
+    for first, second in ((0, 1), (1, 0)):
+        pos = game.initial_position()
+        for mk in (("enter", (0, 1, 2, 3)), ("remove", first),
+                   ("enter", tuple(v for v in range(4) if v != first)), ("remove", second)):
+            pos = game.play(pos, mk)
+        routes.append(pos)
+    assert routes[0] is routes[1]
+    assert (routes[0].mask, routes[0].turn, routes[0].n) == (0b1100, THIEF, 1)
+
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        g = dg(n, random_edges(n, 0.35, rng))
+        for k in range(n + 1):
+            game = ComebackGame(g, k)
+            seen = {game.initial_position()}
+            todo = list(seen)
+            while todo:
+                for q in game.successors(todo.pop()):
+                    if q not in seen:
+                        seen.add(q)
+                        todo.append(q)
+            shapes = {(p.mask, p.turn, tuple(e.uid for e in p.entries), p.n) for p in seen}
+            assert len(shapes) == len(seen), (n, k)
+
+
 @pytest.mark.parametrize("solve", [solve_rank_game, solve_comeback_game])
 def test_thief_enters_the_lowest_winning_component(solve):
     # two disjoint 3-cliques, rank 2: at k = 1 either one wins for the
