@@ -89,14 +89,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     want_rank = args.rank or args.all or not (args.rank or args.ent)
     want_ent = args.ent or args.all or not (args.rank or args.ent)
-    try:
-        if want_rank:
-            print(f"rank: {rank(g)}")
-        if want_ent:
-            print(f"entanglement: {entanglement(g)}")
-    except (ArenaCeilingError, RankDepthError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if want_rank:
+        print(f"rank: {rank(g)}")
+    if want_ent:
+        print(f"entanglement: {entanglement(g)}")
     return EXIT_OK
 
 
@@ -117,7 +113,7 @@ def cmd_game(args: argparse.Namespace) -> int:
     try:
         # the CLI's ``shrink`` variant is the game id ``rank``
         result = GAMES["rank" if variant == "shrink" else variant].solve(g, args.k)
-    except (ArenaCeilingError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(f"game: {variant}  k: {args.k}  winner: {result.winner}")
@@ -206,12 +202,7 @@ def cmd_muterm(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: cannot parse {args.term!r}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        measures = analyze(term)
-    except (ArenaCeilingError, RankDepthError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    print(json.dumps(measures, indent=2, sort_keys=True))
+    print(json.dumps(analyze(term), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -224,7 +215,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         if not 0 <= k <= g.n:
             raise ValueError(f"budget k={k} must satisfy 0 <= k <= {g.n}, the vertex count")
         res = solve_comeback_game(g, k)
-    except (ArenaCeilingError, RankDepthError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if res.winner != COPS:
@@ -267,11 +258,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"error: bad certificate {args.cert!r}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        report = verify_certificate(g, cert.game, cert.k, cert)
-    except ArenaCeilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report = verify_certificate(g, cert.game, cert.k, cert)
     if not report.ok:
         print(f"rejected: {report.reason}")
         return EXIT_VIOLATIONS
@@ -385,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ArenaCeilingError, RankDepthError) as exc:  # resource stops, in any command
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except SystemExit as exc:  # our error messages carry a string code
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

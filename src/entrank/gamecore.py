@@ -584,13 +584,15 @@ def certificate_from_json(obj: dict) -> StrategyCertificate:
             key = spec.init
         else:
             key = _from_json(pos, spec.fields, entry_keys)
+        if key in moves:
+            raise ValueError(f"certificate JSON field 'position' names a position twice: {pos!r}")
         mv = _field(entry, "move", dict)
-        for tag, names in _MOVE_FIELDS.items():
-            if names[0] in mv:
-                break
-        else:
-            raise ValueError(f"cannot decode move {mv!r}")
-        moves[key] = (tag, *_from_json(mv, names, entry_keys))
-    return StrategyCertificate(
-        game_id, _field(obj, "k", int), _field(obj, "winner", str), moves
-    )
+        tags = [tag for tag, names in _MOVE_FIELDS.items() if names[0] in mv]
+        if len(tags) != 1:
+            raise ValueError(f"certificate JSON field 'move' names {len(tags)} move tags: {mv!r}")
+        moves[key] = (tags[0], *_from_json(mv, _MOVE_FIELDS[tags[0]], entry_keys))
+    k = _field(obj, "k", int)
+    winner = _field(obj, "winner", str)
+    if winner not in (THIEF, COPS):
+        raise ValueError(f"certificate JSON field 'winner' is not {THIEF!r} or {COPS!r}: {winner!r}")
+    return StrategyCertificate(game_id, k, winner, moves)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence, Union
 
 from .corpus import CorpusSpec
@@ -89,22 +89,7 @@ class ReportRecord:
     failures: list[str] = field(default_factory=list)
 
     def to_obj(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "n": self.n,
-            "edges": self.edges,
-            "rank": self.rank,
-            "entanglement": self.entanglement,
-            "shrink_game_k": self.shrink_game_k,
-            "comeback_game_k": self.comeback_game_k,
-            "ent_k": self.ent_k,
-            "et_k": self.et_k,
-            "entv_k": self.entv_k,
-            "theorem_ok": self.theorem_ok,
-            "certificate_ok": self.certificate_ok,
-            "skips": self.skips,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -7,11 +7,12 @@ thief behaviour.  This is the constructive content of the inequality
 ``entanglement <= rank``.
 
 The replay keeps a *chain of frames*, one per comeback-game deletion
-still in force.  A frame remembers the component the play descended
-into, the vertex the certificate deleted there (now carried by a real
-or virtual cop), and the comeback-game position after the deletion.
-The frame graphs are nested, each inside its parent with the parent's
-deleted vertex removed.
+still in force.  A frame is a pair ``(mark, match)``: the vertex the
+certificate deleted (now carried by a real or virtual cop), and the
+interned comeback-game position after the deletion, whose graph is the
+component the play descended into minus ``mark``.  The frame graphs
+are nested, each inside its parent with the parent's deleted vertex
+removed.
 
 Cops answer each thief arrival ``v`` by cases:
 
@@ -59,26 +60,6 @@ class TranslationError(RuntimeError):
     """The strategy translation could not be completed soundly."""
 
 
-class _Frame:
-    """One live comeback-game deletion.
-
-    ``chosen`` is the component the play descended into, ``mark`` the
-    vertex the certificate deleted there (held by a real or virtual
-    cop), and ``match`` the comeback-game position after the deletion
-    (its graph is ``chosen`` minus ``mark``).
-    """
-
-    __slots__ = ("chosen", "mark", "match")
-
-    def __init__(self, chosen: int, mark: int, match: CPos):
-        self.chosen = chosen
-        self.mark = mark
-        self.match = match
-
-    def key(self):
-        return (self.chosen, self.mark, self.match.uid)
-
-
 def translate_rank_strategy(g: Digraph, cert: StrategyCertificate,
                             ceiling: int | None = None) -> StrategyCertificate:
     """Cops certificate for the virtual-cop pursuit game at ``cert.k``.
@@ -92,83 +73,27 @@ def translate_rank_strategy(g: Digraph, cert: StrategyCertificate,
         raise TranslationError(f"expected a comeback-game certificate, got {cert.game!r}")
     if cert.winner != COPS:
         raise TranslationError("certificate does not claim a cops win")
-    return _Translator(g, cert, position_limit(ceiling)).run()
+    limit = position_limit(ceiling)
+    k = cert.k
+    game = ComebackGame(g, k)
+    pursuit = PursuitGame(g, k, "entv")
 
-
-class _Translator:
-    def __init__(self, g: Digraph, cert: StrategyCertificate, limit: int):
-        self.k = cert.k
-        self.cert = cert
-        self.limit = limit
-        self.game = ComebackGame(g, cert.k)
-        self.pursuit = PursuitGame(g, cert.k, "entv")
-        self.full = g.full_mask
-        self.out: dict = {}
-
-    def _removal_at(self, target: CPos) -> int:
-        """The certificate's deletion at a cops-turn comeback position."""
-        mk = self.cert.moves.get(self.game.pos_key(target))
-        if mk is None:
-            raise TranslationError(
-                f"certificate has no move at {target!r}; it does not win"
-            )
-        if mk[0] != "remove" or not (target.mask >> mk[1]) & 1:
-            raise TranslationError(f"certificate move {mk!r} is not a deletion in {target!r}")
-        return mk[1]
-
-    def _advance(self, pos: CPos, wanted) -> CPos:
-        q = self.game.play(pos, wanted)
-        if q is None:
-            raise TranslationError(f"move {wanted!r} is not available at {pos!r}")
-        return q
-
-    def run(self) -> StrategyCertificate:
-        pursuit = self.pursuit
-        todo = [(q, ()) for q in pursuit.successors(pursuit.initial_position())]
-        seen = set()
-        while todo:
-            pos, frames = todo.pop()
-            node_key = (pos, tuple(f.key() for f in frames))
-            if node_key in seen:
-                continue
-            if len(seen) >= self.limit:
-                raise ArenaCeilingError("entv", self.limit)
-            seen.add(node_key)
-            v, cmask, vmask, turn = pos
-            if turn == COPS:
-                c2, v2, frames2 = self._respond(v, cmask, vmask, frames)
-                nxt = (v, c2, v2, THIEF)
-                key = pursuit.pos_key(pos)
-                move = pursuit.move_key(pos, nxt)
-                old = self.out.get(key)
-                if old is None:
-                    self.out[key] = move
-                elif old != move:
-                    raise TranslationError(
-                        f"conflicting decisions at position {key!r}: {old!r} vs {move!r}"
-                    )
-                todo.append((nxt, frames2))
-            else:
-                todo.extend((q, frames) for q in pursuit.successors(pos))
-        return StrategyCertificate("entv", self.k, COPS, self.out)
-
-    def _respond(self, v: int, cmask: int, vmask: int, frames: tuple[_Frame, ...]):
+    def respond(v: int, cmask: int, vmask: int, frames: tuple[tuple[int, CPos], ...]):
         """One cops decision: new cop sets plus the advanced frame chain."""
         vb = 1 << v
         if vmask & vb:
             # forced materialization of the virtual cop under the thief
             return cmask | vb, vmask & ~vb, frames
 
-        g = self.game.g
-        free = component(g, v, self.full & ~(cmask | vmask))
+        free = component(g, v, g.full_mask & ~(cmask | vmask))
         if not cyclic(g, free):
             return cmask, vmask, frames  # skip while the thief drifts
 
         # deepest frame whose graph still contains the thief
         m = len(frames) - 1
-        while m >= 0 and not (frames[m].match.mask >> v) & 1:
+        while m >= 0 and not (frames[m][1].mask >> v) & 1:
             m -= 1
-        parent = frames[m].match if m >= 0 else self.game.initial_position()
+        parent = frames[m][1] if m >= 0 else game.initial_position()
 
         smask = component(g, v, parent.mask)
         if not cyclic(g, smask):
@@ -182,45 +107,78 @@ class _Translator:
                 f"leaks outside the enclosing matched component"
             )
 
-        target = self.game.play(parent, ("enter", tuple(iter_mask(smask))))
+        target = game.play(parent, ("enter", tuple(iter_mask(smask))))
         if target is None:
             raise TranslationError(
                 f"no forward move into the thief's component from {parent!r}"
             )
-        u = self._removal_at(target)
-        match2 = self._advance(target, ("remove", u))
+        # the certificate's deletion at this cops-turn comeback position
+        mk = cert.moves.get(game.pos_key(target))
+        if mk is None:
+            raise TranslationError(
+                f"certificate has no move at {target!r}; it does not win"
+            )
+        if mk[0] != "remove" or not (target.mask >> mk[1]) & 1:
+            raise TranslationError(f"certificate move {mk!r} is not a deletion in {target!r}")
+        u = mk[1]
+        match = game.play(target, ("remove", u))
+        if match is None:
+            raise TranslationError(f"move {('remove', u)!r} is not available at {target!r}")
 
         released = 0
-        for f in frames[m + 1:]:
-            released |= 1 << f.mark
+        for mark, _ in frames[m + 1:]:
+            released |= 1 << mark
         c0 = cmask & ~released
         v0 = vmask & ~released
         ub = 1 << u
         if u == v:
             c2, v2 = c0 | ub, v0
+        elif (c0 | v0) & ub:
+            raise TranslationError(
+                f"deletion vertex {u} is already guarded; the frame chain "
+                f"is inconsistent"
+            )
         else:
-            if (c0 | v0) & ub:
-                raise TranslationError(
-                    f"deletion vertex {u} is already guarded; the frame chain "
-                    f"is inconsistent"
-                )
             c2, v2 = c0, v0 | ub
-        frames2 = frames[:m + 1] + (_Frame(smask, u, match2),)
-        self._check_budget(c2, v2, frames2)
+        frames2 = frames[:m + 1] + ((u, match),)
+
+        if c2 & v2:
+            raise TranslationError("a vertex ended up both occupied and reserved")
+        if (c2 | v2).bit_count() > k:
+            raise TranslationError(f"cop budget {k} exceeded by the simulated strategy")
+        held = 0
+        for mark, _ in frames2:
+            held |= 1 << mark
+        if held != (c2 | v2):
+            raise TranslationError("cops on the board diverge from the frame chain's deletions")
         return c2, v2, frames2
 
-    def _check_budget(self, cmask: int, vmask: int,
-                      frames: tuple[_Frame, ...]) -> None:
-        if cmask & vmask:
-            raise TranslationError("a vertex ended up both occupied and reserved")
-        if (cmask | vmask).bit_count() > self.k:
-            raise TranslationError(
-                f"cop budget {self.k} exceeded by the simulated strategy"
-            )
-        held = 0
-        for f in frames:
-            held |= 1 << f.mark
-        if held != (cmask | vmask):
-            raise TranslationError(
-                "cops on the board diverge from the frame chain's deletions"
-            )
+    # a node is (pursuit position, frames); a CPos is its own key
+    out: dict = {}
+    todo = [(q, ()) for q in pursuit.successors(pursuit.initial_position())]
+    seen = set()
+    while todo:
+        node = todo.pop()
+        if node in seen:
+            continue
+        if len(seen) >= limit:
+            raise ArenaCeilingError("entv", limit)
+        seen.add(node)
+        pos, frames = node
+        v, cmask, vmask, turn = pos
+        if turn == COPS:
+            c2, v2, frames2 = respond(v, cmask, vmask, frames)
+            nxt = (v, c2, v2, THIEF)
+            key = pursuit.pos_key(pos)
+            move = pursuit.move_key(pos, nxt)
+            old = out.get(key)
+            if old is None:
+                out[key] = move
+            elif old != move:
+                raise TranslationError(
+                    f"conflicting decisions at position {key!r}: {old!r} vs {move!r}"
+                )
+            todo.append((nxt, frames2))
+        else:
+            todo.extend((q, frames) for q in pursuit.successors(pos))
+    return StrategyCertificate("entv", k, COPS, out)

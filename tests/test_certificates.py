@@ -128,10 +128,19 @@ def test_overclaiming_winner_fails_replay():
         ("ent", lambda o: o["moves"][0]["position"].update(cops=[True]), "cops"),
         ("ent", lambda o: o["moves"][0]["position"].update(vertex=True), "vertex"),
         ("comeback", lambda o: o["moves"][0]["position"].update(ref=False), "ref"),
+        # a second entry for one position would make the verdict depend on order
+        ("ent", lambda o: o["moves"].append(
+            {"position": o["moves"][0]["position"], "move": {"cops": [], "virtual": []}}),
+         "position"),
+        ("comeback", lambda o: o["moves"].insert(0, dict(o["moves"][-1])), "position"),
+        ("ent", lambda o: o.update(winner="nobody"), "winner"),
+        # the leading fields of an occupy and of a thief move at once
+        ("ent", lambda o: o["moves"][0]["move"].update(to=-1), "move"),
     ],
     ids=["empty", "no-moves", "no-cops", "cops-not-a-list", "ref-out-of-range",
          "comebacks-out-of-range", "unknown-game", "table-on-ent", "init-on-rank",
-         "k-is-a-bool", "cops-vertex-is-a-bool", "vertex-is-a-bool", "ref-is-a-bool"],
+         "k-is-a-bool", "cops-vertex-is-a-bool", "vertex-is-a-bool", "ref-is-a-bool",
+         "position-twice", "ref-twice", "unknown-winner", "two-move-tags"],
 )
 def test_malformed_json_names_the_field(game_id, mutate, field):
     g = dg(3, dicycle_edges(3))

@@ -487,6 +487,12 @@ def test_replay_rejects_a_tampered_certificate(run, dicycle_file, tmp_path):
     ('{"game": "ent", "k": 1, "winner": "cops"}', "lacks the field 'moves'"),
     ('{"game": "nope", "k": 1, "winner": "cops", "moves": []}', "unknown game id 'nope'"),
     ('{"game": "ent", "k": 9, "winner": "cops", "moves": []}', "cop count k must satisfy"),
+    # one position named twice: which entry came last used to decide the verdict
+    ('{"game": "ent", "k": 1, "winner": "cops", "moves": [%s, %s]}' % (
+        '{"position": {"vertex": 0, "cops": [], "virtual": [], "turn": "cops"}, '
+        '"move": {"cops": [0], "virtual": []}}',
+        '{"position": {"vertex": 0, "cops": [], "virtual": [], "turn": "cops"}, '
+        '"move": {"cops": [0, 1], "virtual": []}}'), "field 'position' names a position twice"),
     (None, "error: cannot read "),
 ])
 def test_replay_bad_input_exits_2(run, dicycle_file, tmp_path, text, message):

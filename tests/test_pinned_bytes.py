@@ -17,6 +17,8 @@ from entrank.gamecore import certificate_to_json
 from entrank.rank import solve_comeback_game, solve_rank_game
 from entrank.translate import translate_rank_strategy
 
+from test_translate import DOOR_CROSSING
+
 # a triangle with a looped vertex and a two-cycle hanging off it; rank 2
 GRAPH = Digraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 3), (4, 1), (2, 2)])
 
@@ -37,6 +39,9 @@ CERTIFICATES = {
     ("et", 2): "3c92e876f84fa9e94c1a6078baaaef097ddcf8121aa2ac3954185ca4a0c9ef35",
     ("entv", 2): "0e666f4bb27af5f18211e8c6eea1b5685a5512c1a18ce8c6dfaf60ea4825461e",
     ("translate", 2): "d837a9c8cee253345e158c13f470b5591e8f925f4117e6a84e9aea267c5838e0",
+    # the translation on the door-crossing graph of test_translate.py
+    ("translate-door-crossing", 2):
+        "f517a695316e02b28bc2582a8db2d951f22c19c4a8a991a9e1e372c642b2ac9e",
 }
 
 THEOREM_REPORT = "0c347071b39d417135c0931952e75bf82ece333de503429de6c5f1a621f8eecb"
@@ -66,4 +71,7 @@ def test_reports_and_certificates_keep_their_bytes(tmp_path):
             got[variant, k] = _cert_sha(solve_pursuit(GRAPH, k, variant).certificate)
     comeback = solve_comeback_game(GRAPH, 2).certificate
     got["translate", 2] = _cert_sha(translate_rank_strategy(GRAPH, comeback))
+    door = Digraph(5, DOOR_CROSSING)
+    comeback = solve_comeback_game(door, 2).certificate
+    got["translate-door-crossing", 2] = _cert_sha(translate_rank_strategy(door, comeback))
     assert got == CERTIFICATES

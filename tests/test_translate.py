@@ -10,8 +10,8 @@ import pytest
 
 from entrank.digraph import Digraph
 from entrank.entgames import solve_pursuit
-from entrank.gamecore import COPS, THIEF, ArenaCeilingError, verify_certificate
-from entrank.rank import rank, solve_comeback_game
+from entrank.gamecore import COPS, THIEF, ArenaCeilingError, StrategyCertificate, verify_certificate
+from entrank.rank import ComebackGame, rank, solve_comeback_game
 from entrank.translate import TranslationError, translate_rank_strategy
 
 from conftest import (
@@ -109,3 +109,30 @@ def test_node_limit_is_enforced():
     res = solve_comeback_game(g, 3)
     with pytest.raises(ArenaCeilingError):
         translate_rank_strategy(g, res.certificate, ceiling=1)
+
+
+def _remove_outside(moves, _):
+    # every deletion short of the whole graph names a vertex outside it
+    for key, (tag, _) in list(moves.items()):
+        outside = [w for w in range(4) if w not in key[0]]
+        if outside:
+            moves[key] = (tag, outside[0])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda moves, entry: moves.pop(entry), "certificate has no move at"),
+    (_remove_outside, "is not a deletion in"),
+    (lambda moves, entry: moves.update({entry: ("enter", entry[0])}), "is not a deletion in"),
+], ids=["dropped-move", "remove-outside", "enter-for-remove"])
+def test_rejects_broken_comeback_certificates(mutate, message):
+    # ``mutate(moves, entry)`` breaks the comeback cops certificate of
+    # ucycle-4; ``entry`` is the position after the thief enters the
+    # whole graph, the first one the translation reads
+    g = dg(4, ucycle_edges(4))
+    cert = solve_comeback_game(g, rank(g)).certificate
+    game = ComebackGame(g, cert.k)
+    entry = game.play(game.initial_position(), ("enter", tuple(range(g.n))))
+    moves = dict(cert.moves)
+    mutate(moves, game.pos_key(entry))
+    with pytest.raises(TranslationError, match=message):
+        translate_rank_strategy(g, StrategyCertificate(cert.game, cert.k, cert.winner, moves))
