@@ -18,9 +18,11 @@ an infinite play is a thief win.
 
 The move rules and the position and move key formats live only in
 :class:`PursuitGame`; :func:`.gamecore.solve_finite_game` solves it.
-``cop_configs`` lists the moves that put a real cop on the thief's
-vertex first, each group in ascending order, so the solver tries those
-first.
+``cop_configs`` enumerates the cops moves in the solver's order: those
+that put a real cop on the thief's vertex first, each group in
+ascending order, so the solver tries those first.  It is the only
+enumerator of cops moves.  ``_cops_move_legal`` decides one given cops
+move with a few mask tests, which is all that replay needs.
 """
 
 from __future__ import annotations
@@ -130,6 +132,35 @@ class PursuitGame:
         other.sort()
         return occupy + other
 
+    def _cops_move_legal(self, v: int, cmask: int, vmask: int, c2: int, t2: int) -> bool:
+        """Whether ``(c2, t2)`` is one of ``cop_configs(v, cmask, vmask)``.
+
+        Decides one move without listing the others; ``v`` is the
+        thief's vertex of a reachable cops position, so it is in neither
+        ``cmask`` nor, outside the forced move, ``vmask``.
+        """
+        vb = 1 << v
+        if self.variant == "ent":
+            if t2:
+                return False
+            if c2 == cmask:
+                return True  # skip
+            if not c2 & vb or (c2 ^ vb) & ~cmask:
+                return False
+            # a cop on v, taken from one vertex of cmask or added within k
+            moved = (cmask & ~c2).bit_count()
+            return moved == 1 or (moved == 0 and cmask.bit_count() < self.k)
+        if self.variant == "et":
+            return not t2 and not c2 & ~(cmask | vb) and c2.bit_count() <= self.k
+        # virtual variant
+        if vmask & vb:
+            return c2 == cmask | vb and t2 == vmask & ~vb
+        fresh = t2 & ~vmask
+        return (not c2 & ~(cmask | vb)
+                and not fresh & (fresh - 1)
+                and not fresh & c2
+                and c2.bit_count() + t2.bit_count() <= self.k)
+
     # -- game protocol ----------------------------------------------------
 
     def initial_position(self):
@@ -169,10 +200,12 @@ class PursuitGame:
     def play(self, pos, mk):
         """The successor of ``pos`` that move key ``mk`` names, or ``None``.
 
-        The key is decoded into a position, which ``successors`` must
-        list and ``move_key`` must name by ``mk`` itself: legality is
-        left to the move rules, and unsorted or duplicated vertex tuples
-        are refused.
+        The key is decoded into a position that must be legal and that
+        ``move_key`` must name by ``mk`` itself, so unsorted or
+        duplicated vertex tuples are refused.  A start or thief move is
+        looked up among the few ``successors``; a cops move is decided
+        by ``_cops_move_legal`` alone, since ``cop_configs`` enumerates
+        every cops move in the solver's order and replay needs just one.
         """
         try:
             tag = mk[0]
@@ -182,20 +215,19 @@ class PursuitGame:
                 q = (mk[1], pos[1], pos[2], COPS) if tag == "to" else None
             # a vertex past the graph would make ``mask_of`` build a huge int
             elif tag == "occupy" and all(x < self.g.n for x in mk[1] + mk[2]):
-                q = (pos[0], mask_of(mk[1]), mask_of(mk[2]), THIEF)
+                v, cmask, vmask, _ = pos
+                c2, t2 = mask_of(mk[1]), mask_of(mk[2])
+                legal = self._cops_move_legal(v, cmask, vmask, c2, t2)
+                q = (v, c2, t2, THIEF) if legal else None
             else:
                 q = None
         except (TypeError, ValueError, LookupError):
             return None
-        if q is None:
-            return None
-        succ = self.successors(pos)
-        try:
+        if q is not None and q[3] == COPS:
+            succ = self.successors(pos)
             # the listed successor, whatever number types ``mk`` used
-            q = succ[succ.index(q)]
-        except ValueError:
-            return None
-        return q if self.move_key(pos, q) == mk else None
+            q = succ[succ.index(q)] if q in succ else None
+        return q if q is not None and self.move_key(pos, q) == mk else None
 
     def pos_key(self, pos):
         if pos == INIT:

@@ -12,7 +12,9 @@ Every game object in this package exposes the same small protocol:
   its successor ``dst``
 * ``play(pos, move_key)`` -> the successor of ``pos`` that the key
   names, or ``None`` for a key that names no legal move (never raises
-  on a malformed or foreign key)
+  on a malformed or foreign key); the pursuit and comeback games
+  decode the key and check that one move instead of building every
+  successor
 * ``moves(pos)`` -> list of ``(move_key, successor)``, derived from
   ``successors`` and ``move_key``; solvers walk ``successors`` and name
   only the moves they record, replay follows recorded moves by ``play``

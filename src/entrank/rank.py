@@ -306,12 +306,16 @@ class ComebackGame:
             ]
         out = []
         if pos.n > 0:
-            for c, ahead in self.decompose(pos.mask):
-                recorded = [self._pos(a, COPS, pos.entries, pos.n) for a in ahead]
-                merged = sorted(set(pos.entries).union(recorded), key=lambda e: e.uid)
-                out.append(self._pos(c, COPS, tuple(merged), pos.n))
+            out = [self._enter(pos, c, ahead) for c, ahead in self.decompose(pos.mask)]
         out.extend(pos.entries)
         return out
+
+    def _enter(self, pos: CPos, c: int, ahead) -> CPos:
+        """The position after the thief at ``pos`` enters component ``c``,
+        recording the components ``ahead`` of it."""
+        recorded = [self._pos(a, COPS, pos.entries, pos.n) for a in ahead]
+        merged = sorted(set(pos.entries).union(recorded), key=lambda e: e.uid)
+        return self._pos(c, COPS, tuple(merged), pos.n)
 
     def move_key(self, src: CPos, dst: CPos):
         if src.turn != THIEF:
@@ -327,8 +331,30 @@ class ComebackGame:
         return [(self.move_key(pos, q), q) for q in self.successors(pos)]
 
     def play(self, pos: CPos, mk) -> CPos | None:
-        """The successor of ``pos`` that move key ``mk`` names, or ``None``."""
-        return next((q for q in self.successors(pos) if self.move_key(pos, q) == mk), None)
+        """The successor of ``pos`` that move key ``mk`` names, or ``None``.
+
+        Only the named successor is interned: a ``remove`` is found among
+        the vertices, an ``enter`` among the components of ``decompose``
+        and a ``comeback`` among the recorded entries, and ``move_key``
+        must then name it by ``mk`` itself.
+        """
+        try:
+            tag, arg = mk
+        except (TypeError, ValueError):
+            return None
+        q = None
+        if pos.turn != THIEF:
+            if tag == "remove":
+                v = next((v for v in iter_mask(pos.mask) if v == arg), None)
+                if v is not None:
+                    q = self._pos(pos.mask & ~(1 << v), THIEF, pos.entries, pos.n - 1)
+        elif tag == "enter":
+            if pos.n > 0:
+                q = next((self._enter(pos, c, ahead) for c, ahead in self.decompose(pos.mask)
+                          if tuple(iter_mask(c)) == arg), None)
+        elif tag == "comeback":
+            q = next((e for e in pos.entries if self.pos_key(e) == arg), None)
+        return q if q is not None and self.move_key(pos, q) == mk else None
 
     def pos_key(self, pos: CPos):
         k = self._keys.get(pos.uid)

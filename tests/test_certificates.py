@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrank.digraph import Digraph, mask_of
-from entrank.entgames import solve_pursuit
+from entrank.digraph import Digraph, iter_mask, mask_of
+from entrank.entgames import PursuitGame, solve_pursuit
 from entrank.gamecore import (
     COPS,
     GAMES,
@@ -19,7 +19,8 @@ from entrank.gamecore import (
     make_game,
     verify_certificate,
 )
-from entrank.rank import solve_rank_game
+from entrank.rank import rank, solve_comeback_game, solve_rank_game
+from entrank.translate import translate_rank_strategy
 
 from conftest import dg, dicycle_edges, random_edges, ucycle_edges
 from oracles import replay_by_moves
@@ -223,6 +224,78 @@ def test_mutated_cops_certificates_are_rejected(game_id, g, data):
         assert not replay(cert.moves, k - 1).ok
 
 
+def _replayed_cops_positions(game, cert):
+    """The cops positions that replay of the cops certificate ``cert``
+    reaches, breadth first."""
+    init = game.initial_position()
+    seen, todo = {init}, [init]
+    for pos in todo:  # grows while it is walked
+        if game.winner_if_terminal(pos) is not None:
+            continue
+        if game.owner(pos) == COPS:
+            yield pos
+            nxt = [game.play(pos, cert.moves[game.pos_key(pos)])]
+        else:
+            nxt = game.successors(pos)
+        for q in nxt:
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+
+
+# Each takes a cops position ``(v, cmask, vmask)``, its recorded move
+# ``(c2, t2)``, ``k`` and the graph's full mask, and returns the masks of
+# a move that breaks one pursuit rule and no other, or ``None`` where it
+# cannot.
+
+def _over_budget(v, cmask, vmask, c2, t2, k, full):
+    """ent: a new cop on the thief's vertex when all ``k`` are placed."""
+    return (cmask | 1 << v, 0) if cmask.bit_count() == k else None
+
+
+def _never_placed(v, cmask, vmask, c2, t2, k, full):
+    """et: the recorded move, keeping one more cop that was never placed."""
+    free = list(iter_mask(full & ~(cmask | 1 << v)))
+    return (c2 | 1 << free[0], 0) if free and c2.bit_count() < k else None
+
+
+def _two_fresh(v, cmask, vmask, c2, t2, k, full):
+    """entv: the recorded move with two new reservations instead of at most one."""
+    kept = t2 & vmask
+    free = list(iter_mask(full & ~(c2 | vmask)))
+    if vmask >> v & 1 or len(free) < 2 or c2.bit_count() + kept.bit_count() + 2 > k:
+        return None
+    return (c2, kept | 1 << free[0] | 1 << free[1])
+
+
+@pytest.mark.parametrize("variant, k, mutate", [
+    ("ent", 2, _over_budget),
+    ("et", 4, _never_placed),
+    ("entv", 4, _two_fresh),
+], ids=["ent-over-budget", "et-never-placed", "entv-two-fresh"])
+def test_replay_refuses_well_formed_illegal_cops_moves(variant, k, mutate):
+    # a sorted, in-range ``occupy`` key of disjoint sets that breaks one
+    # move rule, swapped in at the first replayed cops position that
+    # admits it, is refused by the rules, not by its shape
+    g = dg(4, ucycle_edges(4))
+    cert = solve_pursuit(g, k, variant).certificate
+    assert cert.winner == COPS
+    game = make_game(g, variant, k)
+    for pos in _replayed_cops_positions(game, cert):
+        key = game.pos_key(pos)
+        _, c2, t2 = cert.moves[key]
+        bad = mutate(*pos[:3], mask_of(c2), mask_of(t2), k, g.full_mask)
+        if bad is not None:
+            break
+    else:
+        pytest.fail(f"no replayed {variant} position admits the mutation")
+    mk = ("occupy", tuple(iter_mask(bad[0])), tuple(iter_mask(bad[1])))
+    moves = {**cert.moves, key: mk}
+    rep = verify_certificate(g, variant, k, StrategyCertificate(variant, k, COPS, moves))
+    assert not rep.ok
+    assert rep.reason == f"recorded move {mk!r} is illegal at {key!r}"
+
+
 # ------------------------------------------- replay pinned to the reference
 
 
@@ -273,3 +346,20 @@ def test_replay_does_not_name_every_move(game_id, monkeypatch):
     monkeypatch.setattr(game_type, "moves", refuse)
     for cert in certs:
         assert verify_certificate(g, game_id, cert.k, cert).ok
+
+
+def test_cops_replay_lists_no_cops_moves(monkeypatch):
+    # ``cop_configs`` enumerates every cops move; replay of a cops
+    # certificate plays only the recorded ones and checks each by itself.
+    # (Replay of a thief certificate branches over every cops move.)
+    g = dg(4, ucycle_edges(4))
+    certs = [solve_pursuit(g, k, "entv").certificate for k in range(g.n + 1)]
+    certs = [cert for cert in certs if cert.winner == COPS]
+    certs.append(translate_rank_strategy(g, solve_comeback_game(g, rank(g)).certificate))
+    calls = []
+    listing = PursuitGame.cop_configs
+    monkeypatch.setattr(PursuitGame, "cop_configs",
+                        lambda self, *args: calls.append(args) or listing(self, *args))
+    for cert in certs:
+        assert verify_certificate(g, "entv", cert.k, cert).ok
+    assert calls == []

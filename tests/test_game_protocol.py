@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from entrank.gamecore import GAMES, ArenaCeilingError, make_game, verify_certificate
+from entrank.digraph import iter_mask
+from entrank.gamecore import COPS, GAMES, THIEF, ArenaCeilingError, make_game, verify_certificate
 
 from conftest import clique_edges, dg, random_edges
 
@@ -115,11 +116,18 @@ def test_play_follows_move_keys_and_refuses_bad_ones(game_id):
     # successor the key names, and ``None`` -- never an exception -- for
     # a key that names no legal move: a wrong tag, an unsorted or
     # duplicated vertex tuple, a vertex outside ``0 .. n-1``, or a key
-    # of another game.
+    # of another game.  At a pursuit cops position, ``play`` is tried on
+    # the well-formed key of every cop mask (and, in ``entv``, every
+    # virtual mask): it must return the listed successor exactly when
+    # ``cop_configs`` lists that move, since it decides the move without
+    # listing them.
+    pursuit = game_id in ("ent", "et", "entv")
     rng = random.Random(7 + sum(map(ord, game_id)))
     for _ in range(12):
         n = rng.randrange(1, 6)
         g = dg(n, random_edges(n, 0.35, rng))
+        names = [tuple(iter_mask(m)) for m in range(1 << n)]
+        virtual = range(1 << n) if game_id == "entv" else (0,)
         for k in range(n + 1):
             game = make_game(g, game_id, k)
             for pos in _reachable(game):
@@ -135,6 +143,14 @@ def test_play_follows_move_keys_and_refuses_bad_ones(game_id):
                 for mk in bad:
                     if mk not in legal:
                         assert game.play(pos, mk) is None, (n, k, game.pos_key(pos), mk)
+                if pursuit and game.owner(pos) == COPS:
+                    listed = set(succ)
+                    for c2 in range(1 << n):
+                        for t2 in virtual:
+                            q = (pos[0], c2, t2, THIEF)
+                            want = q if q in listed else None
+                            mk = ("occupy", names[c2], names[t2])
+                            assert game.play(pos, mk) == want, (n, k, game.pos_key(pos), mk)
 
 
 def _least_ceiling(solve, high):
