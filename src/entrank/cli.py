@@ -2,12 +2,12 @@
 
 Subcommands::
 
-    measure <graph-file> [--rank] [--ent] [--all]
+    measure <graph-file> [--rank] [--ent] [--all] [--ceiling N]
     game {rank|ent} <graph-file> -k K [--variant ...] [--cert out.json]
-    verify {theorem|equiv} (--corpus SPEC | files ...) [--json [PATH]]
+    verify {theorem|equiv} (--corpus SPEC | files ...) [--json [PATH]] [--ceiling N]
     gen (--corpus SPEC | corpus flags) -o DIR
-    muterm analyze <term-file>
-    translate <graph-file> [-k K] [--cert out.json]
+    muterm analyze <term-file> [--ceiling N]
+    translate <graph-file> [-k K] [--cert out.json] [--ceiling N]
     replay <graph-file> <cert.json>
 
 Exit status: 0 when the requested work succeeded with zero violations,
@@ -90,9 +90,9 @@ def cmd_measure(args: argparse.Namespace) -> int:
     want_rank = args.rank or args.all or not (args.rank or args.ent)
     want_ent = args.ent or args.all or not (args.rank or args.ent)
     if want_rank:
-        print(f"rank: {rank(g)}")
+        print(f"rank: {rank(g, args.ceiling)}")
     if want_ent:
-        print(f"entanglement: {entanglement(g)}")
+        print(f"entanglement: {entanglement(g, args.ceiling)}")
     return EXIT_OK
 
 
@@ -202,7 +202,7 @@ def cmd_muterm(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: cannot parse {args.term!r}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(json.dumps(analyze(term), indent=2, sort_keys=True))
+    print(json.dumps(analyze(term, ceiling=args.ceiling), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -210,11 +210,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     _check_writable(args.cert, "certificate")
     try:
-        k = args.k if args.k is not None else rank(g)
+        k = args.k if args.k is not None else rank(g, args.ceiling)
         # the translated pursuit game has at most one cop per vertex
         if not 0 <= k <= g.n:
             raise ValueError(f"budget k={k} must satisfy 0 <= k <= {g.n}, the vertex count")
-        res = solve_comeback_game(g, k)
+        res = solve_comeback_game(g, k, args.ceiling)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -223,9 +223,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
         return EXIT_VIOLATIONS
     step = "translation"
     try:
-        cert = translate_rank_strategy(g, res.certificate)
+        cert = translate_rank_strategy(g, res.certificate, args.ceiling)
         step = "replay of the translated certificate"
-        replay = verify_certificate(g, "entv", k, cert)
+        replay = verify_certificate(g, "entv", k, cert, args.ceiling)
     except ArenaCeilingError as exc:
         raise SystemExit(f"error: {step} at k={k} exceeded the position ceiling of {exc.limit}")
     except TranslationError as exc:
@@ -277,6 +277,16 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _add_ceiling(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--ceiling",
+        type=_at_least_one,
+        default=None,
+        help="cap on the positions of each solve, replay and translation, "
+        "and on the rank memo's entries",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrank",
@@ -290,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", action="store_true", help="print the rank")
     p.add_argument("--ent", action="store_true", help="print the entanglement")
     p.add_argument("--all", action="store_true", help="print both (default)")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("game", help="solve one game instance at a fixed k")
@@ -320,13 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="theorem suite: also translate and replay strategy certificates",
     )
     p.add_argument("--jobs", type=_at_least_one, default=1, help="parallel worker processes")
-    p.add_argument(
-        "--ceiling",
-        type=_at_least_one,
-        default=None,
-        help="cap on the positions of each solve, replay and translation, "
-        "and on the rank memo's entries",
-    )
+    _add_ceiling(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="write a corpus to a directory of edge-list files")
@@ -344,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="muterm_command", required=True)
     m = msub.add_parser("analyze", help="star height and term-graph measures")
     m.add_argument("term", help="file containing one term")
+    _add_ceiling(m)
     m.set_defaults(func=cmd_muterm)
 
     p = sub.add_parser(
@@ -354,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-k", type=int, default=None, help="budget (default: rank of the graph)")
     p.add_argument("--cert", metavar="OUT.json", help="write the translated certificate")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser(

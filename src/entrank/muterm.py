@@ -438,13 +438,17 @@ def term_graph(t: Term) -> Digraph:
     return Digraph(counter, edges)
 
 
-def analyze(t: Term) -> dict:
-    """Flat report of the term's measures and its graph's measures."""
+def analyze(t: Term, ceiling: int | None = None) -> dict:
+    """Flat report of the term's measures and its graph's measures.
+
+    ``ceiling`` caps the rank memo and the pursuit solves, as in
+    :func:`.rank.rank` and :func:`.entgames.entanglement`.
+    """
     g = term_graph(t)
     return {
         "star_height": star_height(t),
-        "graph_rank": rank(g),
-        "graph_entanglement": entanglement(g),
+        "graph_rank": rank(g, ceiling),
+        "graph_entanglement": entanglement(g, ceiling),
         "free_variables": sorted(free_vars(t)),
         "bound_names": bound_name_count(t),
         "graph_vertices": g.n,

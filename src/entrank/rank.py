@@ -13,9 +13,34 @@ otherwise.  Several components stop at the first one that reaches the
 cap.  A strongly connected graph asks each deletion only whether it
 beats the best found so far, and stops once the best meets its lower
 bound: at least 1, and at least the rank of any deletion, since rank
-never grows when a vertex is deleted.  Exact values and lower bounds are
-memoised apart, and the memo is capped by a ceiling
-(:class:`RankCeilingError` past it).
+never grows when a vertex is deleted.
+
+A strongly connected graph tries only the deletions that no other
+deletion provably matches or beats.  Two rules point a vertex ``v`` at a
+vertex ``u`` whose deletion is no worse:
+
+* *Twins.*  ``u`` and ``v`` have the same out- and in-neighbours besides
+  each other, ``u -> v`` exactly when ``v -> u``, and the same loop
+  status.  Swapping them is an automorphism of every subgraph holding
+  both, so ``rank(G - u) = rank(G - v)``.  Twin classes are found once
+  per call, and ``v`` points at its lowest live twin.  (The equality
+  needs only ``G - u`` and ``G - v`` to be isomorphic, which holds for an
+  edge between them one way only too; asking for both ways or neither
+  makes twinship an equivalence that two hash keys find.)
+* *Dominance.*  The in-neighbours of ``v`` in ``G``, counting ``v``
+  itself, are exactly ``{u}`` with ``u != v`` (or the same for its
+  out-neighbours).  In ``G - u`` the vertex ``v`` is then a trivial
+  source (or sink), so ``rank(G - u) = rank(G - u - v) <= rank(G - v)``.
+
+Along these pointers the deletion rank never grows, so trying the roots
+of the pointer graph, plus one vertex on each of its cycles, finds the
+minimum.  Skipping every pointed vertex would not: on a cycle of
+pointers each vertex is beaten by another, and none may be dropped.
+
+Only strongly connected masks are memoised, as exact values and lower
+bounds apart; a mask of several components is the maximum over its
+components, which are memoised themselves.  The memo is capped by a
+ceiling (:class:`RankCeilingError` past it).
 
 Two games compute the same number.  In the plain shrinking game the
 thief repeatedly enters a nontrivial component and the cops delete one
@@ -30,6 +55,7 @@ one local solver, :func:`.gamecore.solve_finite_game`.
 from __future__ import annotations
 
 from functools import cache, partial
+from typing import Iterator
 
 from .digraph import Digraph, components, iter_mask, scc_decompose
 from .gamecore import (
@@ -55,7 +81,7 @@ __all__ = [
 ]
 
 #: default cap on the entries (exact values plus lower bounds) of the
-#: rank memo; ``clique-16`` needs about 66k
+#: rank memo; ``upath-400`` needs about 43k
 DEFAULT_RANK_CEILING = 1_000_000
 
 
@@ -71,19 +97,44 @@ class RankCeilingError(ArenaCeilingError):
         self.args = (f"rank memo exceeded the entry ceiling of {limit}",)
 
 
-class _RankMemo:
-    """Branch-and-bound rank recursion memoised on vertex bitmasks.
+def _twins_below(g: Digraph) -> list[int]:
+    """Per vertex, the mask of its lower-numbered twins (see the module notes).
 
-    ``exact`` maps a mask to its rank; ``lower`` maps a mask whose rank
-    is not known to the best lower bound proven for it.  The two
-    together may hold at most ``ceiling`` entries.
+    Twins adjacent both ways share the key ``(succ | v, pred | v, loop)``,
+    twins adjacent neither way the key ``(succ - v, pred - v, loop)``;
+    each key names one class.
+    """
+    below = [0] * g.n
+    adjacent: dict[tuple, int] = {}
+    apart: dict[tuple, int] = {}
+    for v, (s, p) in enumerate(zip(g.succ_masks, g.pred_masks)):
+        bv = 1 << v
+        loop = bool(s & bv)
+        for classes, key in ((adjacent, (s | bv, p | bv, loop)),
+                             (apart, (s & ~bv, p & ~bv, loop))):
+            lower = classes.get(key, 0)
+            below[v] |= lower
+            classes[key] = lower | bv
+    return below
+
+
+class _RankMemo:
+    """Branch-and-bound rank recursion memoised on strongly connected masks.
+
+    ``exact`` maps a strongly connected mask with a cycle to its rank;
+    ``lower`` maps one whose rank is not known to the best lower bound
+    proven for it.  The two together may hold at most ``ceiling``
+    entries.  A mask of several components, or of one vertex without a
+    loop, is answered from its components and not stored.  A strongly
+    connected mask tries only the deletions of :meth:`_deletions`.
     """
 
-    __slots__ = ("g", "exact", "lower", "ceiling")
+    __slots__ = ("g", "twins", "exact", "lower", "ceiling")
 
     def __init__(self, g: Digraph, ceiling: int):
         self.g = g
-        self.exact: dict[int, int] = {0: 0}
+        self.twins = _twins_below(g)
+        self.exact: dict[int, int] = {}
         self.lower: dict[int, int] = {}
         self.ceiling = ceiling
 
@@ -99,6 +150,49 @@ class _RankMemo:
         table[mask] = value
         return value
 
+    def _deletions(self, mask: int) -> Iterator[int]:
+        """The deletions to try on the strongly connected ``mask``, ascending.
+
+        Each twin or dominated vertex points at one vertex whose deletion
+        is no worse (see the module notes).  A vertex is tried when it
+        points nowhere, or when its pointers lead back to it through
+        higher vertices only: it is then the lowest vertex of a cycle of
+        pointers.  Vertices are classified only as the caller asks.
+        """
+        succ, pred, twins = self.g.succ_masks, self.g.pred_masks, self.twins
+        settled = 0  # vertices known not to be tried
+        left = mask
+        while left:
+            low = left & -left
+            left ^= low
+            if settled & low:
+                continue
+            chain, bw = 0, low
+            while True:
+                w = bw.bit_length() - 1
+                u = twins[w] & mask
+                if not u:
+                    u = pred[w] & mask
+                    if u & (u - 1) or u == bw:
+                        u = succ[w] & mask
+                        if u & (u - 1) or u == bw:
+                            if not chain:
+                                yield w
+                            break
+                chain |= bw
+                bw = u & -u
+                if bw == low:
+                    yield low.bit_length() - 1
+                    break
+                if bw < low or bw & settled:
+                    break
+                if bw & chain:
+                    # a cycle of pointers above ``low``: its own lowest
+                    # vertex is tried when its turn comes
+                    chain = 0
+                    break
+            settled |= chain
+
     def solve(self, mask: int, cap: int) -> int:
         """Rank of ``mask`` if it is below ``cap``, else a lower bound >= ``cap``."""
         r = self.exact.get(mask)
@@ -110,25 +204,27 @@ class _RankMemo:
         best = 0
         succ = self.g.succ_masks
         for comp in components(self.g, mask):
+            if comp == mask:
+                break
             # ``cyclic(g, comp)``, inlined on rank's hot path
             if not (comp & (comp - 1) or succ[comp.bit_length() - 1] & comp):
                 continue
-            if comp == mask:
-                break
             r = self.solve(comp, cap)
             if r >= cap:
-                return self._remember(mask, r, cap)
+                return r
             if r > best:
                 best = r
         else:
-            return self._remember(mask, best, cap)
+            return best  # several components, each memoised on its own
+        if not (mask & (mask - 1) or succ[mask.bit_length() - 1] & mask):
+            return 0  # one vertex without a loop
         # One nontrivial strongly connected piece: rank = 1 + min over
         # deletions, at least 1, and at least the rank of any deletion.
         # ``best`` stays exact below ``cap``; a deletion is only asked
         # whether it beats ``best``.
         floor = max(known, 1)
         best = cap
-        for v in iter_mask(mask):
+        for v in self._deletions(mask):
             if best <= floor:
                 break
             r = self.solve(mask ^ (1 << v), best - 1)

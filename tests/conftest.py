@@ -84,6 +84,21 @@ def random_substitution(rng: random.Random, size: int = 3) -> dict[str, Term]:
     return {nm: random_term(rng, rng.randint(1, size)) for nm in names}
 
 
+def three_name_term(d: int) -> str:
+    """``d`` nested binders cycling through the names x, y, z; each body
+    refers to its own binder and the one before it."""
+    names = "xyz"
+    text = "a"
+    for i in reversed(range(d)):
+        me = names[i % 3]
+        if i:
+            text = f"f({names[(i - 1) % 3]}, f({me}, {text}))"
+        else:
+            text = f"f({me}, {text})"
+        text = f"mu {me}. {text}"
+    return text
+
+
 # ------------------------------------------------------- acceptance report
 
 ACCEPTANCE_LINES: list[str] = []

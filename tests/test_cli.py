@@ -285,11 +285,14 @@ def test_translate_ceiling_exits_2(run, dicycle_file, monkeypatch, ceiling, step
     # the comeback game on dicycle-3 stores 3 positions, its translation
     # 12 and the replay of the translated certificate 13: a ceiling of 5
     # stops the translation, one of 12 its replay -- a resource stop, not
-    # a violation, and the error names the step that stopped
+    # a violation, and the error names the step that stopped; the same
+    # ceiling given by --ceiling stops the same step
+    want = f"error: {step} at k=1 exceeded the position ceiling of {ceiling}\n"
+    assert run("translate", dicycle_file, "--ceiling", str(ceiling)) == (2, "", want)
     monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", ceiling)
     rc, out, err = run("translate", dicycle_file)
     assert rc == 2 and out == ""
-    assert err == f"error: {step} at k=1 exceeded the position ceiling of {ceiling}\n"
+    assert err == want
     monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", 13)
     rc, out, err = run("translate", dicycle_file)
     assert rc == 0 and "replay verification passed" in out and err == ""
@@ -308,13 +311,14 @@ def tiny_rank_ceiling(monkeypatch):
     monkeypatch.setattr(importlib.import_module("entrank.rank"), "DEFAULT_RANK_CEILING", 1)
 
 
-def test_rank_ceiling_exits_2(run, dicycle_file, tiny_rank_ceiling):
+def test_rank_ceiling_exits_2(run, upath_file, tiny_rank_ceiling):
+    # upath-4's rank memo needs 2 entries (dicycle-3's needs only 1)
     for argv in (("measure",), ("measure", "--rank"), ("translate",)):
-        rc, out, err = run(*argv, dicycle_file)
+        rc, out, err = run(*argv, upath_file)
         assert rc == 2 and out == ""
         assert err == "error: rank memo exceeded the entry ceiling of 1\n"
-    rc, out, _ = run("measure", dicycle_file, "--ent")
-    assert rc == 0 and out == "entanglement: 1\n"
+    rc, out, _ = run("measure", upath_file, "--ent")
+    assert rc == 0 and out == "entanglement: 2\n"
 
 
 @pytest.fixture
@@ -358,12 +362,12 @@ def test_muterm_analyze_rank_depth_exits_2(run, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["theorem", "equiv"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_rank_ceiling_is_a_skip(run, dicycle_file, suite, jobs):
+def test_verify_rank_ceiling_is_a_skip(run, upath_file, suite, jobs):
     # --ceiling also caps the rank memo; in worker processes too, the
     # ceiling becomes a per-graph skip rather than a lost report
-    rc, out, err = run("verify", suite, dicycle_file, "--ceiling", "1", "--jobs", jobs)
+    rc, out, err = run("verify", suite, upath_file, "--ceiling", "1", "--jobs", jobs)
     assert rc == 0 and "Traceback" not in err
-    assert "skip dicycle3.txt: rank memo exceeded 1 entries\n" in out
+    assert "skip upath4.dot: rank memo exceeded 1 entries\n" in out
     assert "(1 graphs, 0 violations, 1 skips," in out
 
 
@@ -373,6 +377,41 @@ def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):
     rc, out, err = run("muterm", "analyze", str(term))
     assert rc == 2 and out == ""
     assert err == "error: rank memo exceeded the entry ceiling of 1\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("measure", "{graph}"), "error: rank memo exceeded the entry ceiling of 1\n"),
+    (("measure", "{graph}", "--ent"), "error: ent arena exceeded the position ceiling of 1\n"),
+    (("translate", "{graph}", "-k", "2"), "error: comeback arena exceeded the position ceiling of 1\n"),
+    (("muterm", "analyze", "{term}"), "error: rank memo exceeded the entry ceiling of 1\n"),
+])
+def test_ceiling_flag_exits_2(run, upath_file, tmp_path, argv, err):
+    # the flag reaches every solver of measure, translate and muterm analyze
+    term = tmp_path / "t.term"
+    term.write_text("mu x. f(x, mu y. f(x, f(y, a)))\n")
+    rc, out, got = run(*(a.format(graph=upath_file, term=term) for a in argv), "--ceiling", "1")
+    assert rc == 2 and out == "" and got == err
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "{graph}"), ("translate", "{graph}"), ("muterm", "analyze", "{graph}"),
+])
+def test_ceiling_flag_below_one_is_refused(run, upath_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*(a.format(graph=upath_file) for a in argv), "--ceiling", "0")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --ceiling: must be at least 1, got 0" in err and "Traceback" not in err
+
+
+def test_measure_ceiling_flag_allows_clique_40(run, tmp_path):
+    # every vertex of a clique is a twin of the others: 39 memo entries
+    p = tmp_path / "clique40.txt"
+    p.write_text("40\n" + "".join(f"{i} {j}\n" for i in range(40) for j in range(40) if i != j))
+    rc, out, _ = run("measure", str(p), "--rank", "--ceiling", "39")
+    assert rc == 0 and out == "rank: 39\n"
+    rc, _, err = run("measure", str(p), "--rank", "--ceiling", "38")
+    assert rc == 2 and err == "error: rank memo exceeded the entry ceiling of 38\n"
 
 
 @pytest.mark.parametrize("flag, value", [

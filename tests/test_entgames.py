@@ -20,6 +20,7 @@ from conftest import (
     dg,
     dicycle_edges,
     random_edges,
+    three_name_term,
     ucycle_edges,
     upath_edges,
 )
@@ -116,26 +117,11 @@ def test_more_cops_never_hurt():
         assert wins[-1], "n cops always win"
 
 
-def _three_name_term(d: int) -> str:
-    """``d`` nested binders cycling through the names x, y, z; each body
-    refers to its own binder and the one before it."""
-    names = "xyz"
-    text = "a"
-    for i in reversed(range(d)):
-        me = names[i % 3]
-        if i:
-            text = f"f({names[(i - 1) % 3]}, f({me}, {text}))"
-        else:
-            text = f"f({me}, {text})"
-        text = f"mu {me}. {text}"
-    return text
-
-
 def test_three_name_term_is_solved_under_the_default_ceiling():
     # At d = 16 (79 vertices) the whole ent arena at k = 2 has more than
     # 400,000 positions; the cops win there, which needs far fewer.
-    assert _three_name_term(3) == "mu x. f(x, mu y. f(x, f(y, mu z. f(y, f(z, a)))))"
-    g = term_graph(parse(_three_name_term(16)))
+    assert three_name_term(3) == "mu x. f(x, mu y. f(x, f(y, mu z. f(y, f(z, a)))))"
+    g = term_graph(parse(three_name_term(16)))
     assert g.n == 79
     assert entanglement(g) == 2
 

@@ -73,17 +73,18 @@ def test_tiny_ceiling_reports_skips_not_failures():
 
 
 def test_ceiling_caps_rank_memo_and_pursuit_arena():
-    # clique-5's rank memo holds 28 entries, its pursuit arena more
-    rec = run_theorem_suite("family:name=clique,size=5", ceiling=27).records[0]
-    assert rec.rank is None and rec.skips == ["rank memo exceeded 27 entries"]
-    rec = run_theorem_suite("family:name=clique,size=5", ceiling=28).records[0]
-    assert rec.rank == 4 and rec.skips == ["pursuit arena exceeded 28 positions"]
-    rec = run_equivalence_suite("family:name=clique,size=5", ceiling=27).records[0]
-    assert rec.rank is None and rec.skips == ["rank memo exceeded 27 entries"]
+    # clique-5's rank memo holds 4 entries (one deletion per level, as
+    # its vertices are twins), its pursuit arena more
+    rec = run_theorem_suite("family:name=clique,size=5", ceiling=3).records[0]
+    assert rec.rank is None and rec.skips == ["rank memo exceeded 3 entries"]
+    rec = run_theorem_suite("family:name=clique,size=5", ceiling=4).records[0]
+    assert rec.rank == 4 and rec.skips == ["pursuit arena exceeded 4 positions"]
+    rec = run_equivalence_suite("family:name=clique,size=5", ceiling=3).records[0]
+    assert rec.rank is None and rec.skips == ["rank memo exceeded 3 entries"]
 
 
 def test_shrink_ceiling_is_a_skip():
-    # clique-6's rank memo holds 59 entries; its shrink game stores 99
+    # clique-6's rank memo holds 5 entries; its shrink game stores 99
     # positions at k = 4, so a ceiling of 80 stops the shrink check only
     rep = run_equivalence_suite("family:name=clique,size=6", ceiling=80)
     rec = rep.records[0]
@@ -287,4 +288,10 @@ def test_suites_refuse_counts_below_one(suite):
     for kwargs in ({"ceiling": 0}, {"ceiling": -5}, {"jobs": 0}, {"jobs": -3}):
         with pytest.raises(ValueError, match="must be at least 1"):
             suite(SMALL, **kwargs)
-    assert suite(SMALL, ceiling=1, jobs=1).skips == 12
+    # a ceiling of 1 is taken: the rank memo holds one strongly connected
+    # mask, so 8 graphs stop there and the 4 of rank <= 1 in the games
+    # (once for the theorem suite, once per skipped check for the other)
+    rep = suite(SMALL, ceiling=1, jobs=1)
+    assert sum(rec.rank is None for rec in rep.records) == 8
+    assert all(rec.skips for rec in rep.records)
+    assert rep.skips == {run_theorem_suite: 12, run_equivalence_suite: 74}[suite]
