@@ -3,12 +3,12 @@
 Subcommands::
 
     measure <graph-file> [--rank] [--ent] [--all] [--ceiling N]
-    game {rank|ent} <graph-file> -k K [--variant ...] [--cert out.json]
+    game {rank|ent} <graph-file> -k K [--variant ...] [--cert out.json] [--ceiling N]
     verify {theorem|equiv} (--corpus SPEC | files ...) [--json [PATH]] [--ceiling N]
     gen (--corpus SPEC | corpus flags) -o DIR
     muterm analyze <term-file> [--ceiling N]
     translate <graph-file> [-k K] [--cert out.json] [--ceiling N]
-    replay <graph-file> <cert.json>
+    replay <graph-file> <cert.json> [--ceiling N]
 
 Exit status: 0 when the requested work succeeded with zero violations,
 1 when a verification suite or translation reported violations or a
@@ -34,7 +34,7 @@ from .gamecore import (
     COPS,
     GAMES,
     ArenaCeilingError,
-    GameResult,
+    StrategyCertificate,
     certificate_from_json,
     certificate_to_json,
     make_game,
@@ -80,8 +80,8 @@ def _write(path: str, text: str, what: str) -> None:
         raise SystemExit(f"error: cannot write {what} {path!r}: {exc}")
 
 
-def _write_certificate(path: str, result: GameResult) -> None:
-    text = json.dumps(certificate_to_json(result.certificate), indent=2) + "\n"
+def _write_certificate(path: str, cert: StrategyCertificate) -> None:
+    text = json.dumps(certificate_to_json(cert), indent=2) + "\n"
     _write(path, text, "certificate")
 
 
@@ -112,13 +112,13 @@ def cmd_game(args: argparse.Namespace) -> int:
     _check_writable(args.cert, "certificate")
     try:
         # the CLI's ``shrink`` variant is the game id ``rank``
-        result = GAMES["rank" if variant == "shrink" else variant].solve(g, args.k)
+        result = GAMES["rank" if variant == "shrink" else variant].solve(g, args.k, args.ceiling)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(f"game: {variant}  k: {args.k}  winner: {result.winner}")
     if args.cert:
-        _write_certificate(args.cert, result)
+        _write_certificate(args.cert, result.certificate)
         print(f"certificate written to {args.cert}")
     return EXIT_OK
 
@@ -239,7 +239,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         f"certificate ({len(cert.moves)} cop decisions); replay verification passed"
     )
     if args.cert:
-        _write_certificate(args.cert, GameResult(COPS, cert))
+        _write_certificate(args.cert, cert)
         print(f"certificate written to {args.cert}")
     return EXIT_OK
 
@@ -258,7 +258,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"error: bad certificate {args.cert!r}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report = verify_certificate(g, cert.game, cert.k, cert)
+    report = verify_certificate(g, cert.game, cert.k, cert, args.ceiling)
     if not report.ok:
         print(f"rejected: {report.reason}")
         return EXIT_VIOLATIONS
@@ -312,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank: shrink (default) or comeback; ent: ent (default), et or entv",
     )
     p.add_argument("--cert", metavar="OUT.json", help="write the strategy certificate")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("verify", help="run a verification suite over a corpus")
@@ -370,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph")
     p.add_argument("cert", metavar="CERT.json", help="certificate written by game or translate")
+    _add_ceiling(p)
     p.set_defaults(func=cmd_replay)
 
     return parser

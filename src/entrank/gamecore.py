@@ -31,6 +31,10 @@ depth first from the initial position; a position still undecided when
 the walk ends is a thief win, so infinite plays go to the thief.  The
 cops play the move that first won a position, and the thief plays its
 first successor, in ``successors`` order, that the cops have not won.
+The winner is known when the search ends; the certificate is walked
+only on the first read of :attr:`GameResult.certificate`, and until
+then the result keeps the search's arrays.  A caller that needs only
+the winner, such as :func:`least_winning_k`, never walks one.
 
 Canonical position keys:
 
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 THIEF = "thief"
@@ -134,9 +139,30 @@ class StrategyCertificate:
         return len(self.moves)
 
 
-class GameResult(NamedTuple):
-    winner: str
-    certificate: StrategyCertificate
+class GameResult:
+    """The winner of a solved game, and the winner's certificate.
+
+    ``GameResult(winner, certificate)`` holds a finished certificate.
+    :func:`solve_finite_game` gives ``walk`` instead, a function that
+    builds the certificate from the search's arrays; it runs on the
+    first read of :attr:`certificate`, whose value is then kept, and
+    the walk is dropped with the arrays it holds.
+    """
+
+    __slots__ = ("winner", "_certificate", "_walk")
+
+    def __init__(self, winner: str, certificate: StrategyCertificate | None = None,
+                 walk: Callable[[], StrategyCertificate] | None = None):
+        self.winner = winner
+        self._certificate = certificate
+        self._walk = walk
+
+    @property
+    def certificate(self) -> StrategyCertificate:
+        if self._walk is not None:
+            self._certificate = self._walk()
+            self._walk = None
+        return self._certificate
 
 
 @dataclass(eq=False)
@@ -185,7 +211,10 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
     its moves one at a time, a cops position all of them, both in
     ``successors`` order.  The certificate follows the rules in the
     module docstring; a cops move always leads to a position won
-    earlier, so every play of the cops strategy ends.  Raises
+    earlier, so every play of the cops strategy ends.  It is walked on
+    the first read of the result's ``certificate``; until then the
+    result keeps the search's position list, index and per-position
+    arrays, so drop a result before the next solve.  Raises
     :class:`ArenaCeilingError` when more than ``ceiling`` positions would
     be stored (see :func:`position_limit`).
     """
@@ -293,11 +322,21 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
             if not cops_turn:
                 win(p, -1)
 
+    # the search's arrays stay with the result until its certificate is read
+    return GameResult(COPS if won[0] else THIEF,
+                      walk=partial(_walk_strategy, game, positions, index, cops,
+                                   terminal, won, via))
+
+
+def _walk_strategy(game, positions: list, index: dict, cops: bytearray,
+                   terminal: bytearray, won: bytearray, via: array) -> StrategyCertificate:
+    """The certificate of a search by :func:`solve_finite_game`.
+
+    Walks the winner's strategy from the initial position (index 0): the
+    winner's recorded move at its turns, every move at the opponent's.
+    """
     winner = COPS if won[0] else THIEF
     cert = StrategyCertificate(game.game_id, game.k, winner)
-
-    # walk the winner's strategy from the initial position: the winner's
-    # recorded move at its turns, every move at the opponent's
     seen = bytearray(len(positions))
     seen[0] = 1
     walk = [0]
@@ -322,7 +361,7 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
             if not seen[j]:
                 seen[j] = 1
                 walk.append(j)
-    return GameResult(winner, cert)
+    return cert
 
 
 def least_winning_k(g, game_id: str, ceiling: int | None = None) -> int:

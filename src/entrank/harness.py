@@ -260,7 +260,9 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
     depend only on the cop mask and every cop move legal with ``k``
     cops stays legal with more.  A replay that ``verify_certificate``
     accepts proves a cops win without building the arena; a rejected
-    one, or one that trips the ceiling, falls back to solving.  Winner
+    one, or one that trips the ceiling, falls back to solving.  Only the
+    certificate of a variant's first cops win is read, so only that one
+    is walked; every other solve gives its winner alone.  Winner
     agreement at each level is the strong form; the per-variant minimal
     ``k`` values recorded on the way out follow from it.  A variant with
     a skipped level below its first cops win has no known minimal ``k``
@@ -294,8 +296,9 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
                     unknown.add(variant)
                 continue
             winners[variant] = res.winner
-            if res.winner == COPS:
-                lift.setdefault(variant, res.certificate)
+            if res.winner == COPS and variant not in lift:
+                lift[variant] = res.certificate
+            del res  # with its search arrays, before the next solve
         if len(set(winners.values())) > 1:
             rec.failures.append(f"variant winners disagree at k={k}: {winners}")
     first_win = {v: lift[v].k if v in lift and v not in unknown else None

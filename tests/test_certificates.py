@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrank.digraph import Digraph, iter_mask, mask_of
-from entrank.entgames import PursuitGame, solve_pursuit
+from entrank.entgames import PursuitGame, entanglement, solve_pursuit
 from entrank.gamecore import (
     COPS,
     GAMES,
     THIEF,
+    GameResult,
     StrategyCertificate,
     certificate_from_json,
     certificate_to_json,
+    least_winning_k,
     make_game,
     verify_certificate,
 )
@@ -363,3 +365,58 @@ def test_cops_replay_lists_no_cops_moves(monkeypatch):
     for cert in certs:
         assert verify_certificate(g, "entv", cert.k, cert).ok
     assert calls == []
+
+
+# ------------------------------------------- certificates walked on first read
+
+
+@pytest.mark.parametrize("game_id", ALL_GAMES)
+def test_winner_only_searches_name_no_position(game_id, monkeypatch):
+    # least_winning_k reads only each level's winner, so no certificate
+    # is walked and no position or move key is built
+    graphs = [dg(4, ucycle_edges(4)), dg(4, dicycle_edges(4)), dg(3, [(0, 1), (1, 2)])]
+    want = [least_winning_k(g, game_id) for g in graphs]
+    game_type = type(make_game(graphs[0], game_id, 0))
+
+    def refuse(self, *args):
+        raise AssertionError("a winner-only search named a position or a move")
+
+    monkeypatch.setattr(game_type, "pos_key", refuse)
+    monkeypatch.setattr(game_type, "move_key", refuse)
+    assert [least_winning_k(g, game_id) for g in graphs] == want
+    if game_id == "ent":
+        assert [entanglement(g) for g in graphs] == want
+    # the refusal is live: reading a certificate names positions
+    with pytest.raises(AssertionError, match="named a position"):
+        _solve(graphs[0], game_id, want[0]).certificate
+
+
+@pytest.mark.parametrize("game_id", ALL_GAMES)
+def test_certificate_is_walked_once_and_kept(game_id):
+    g = dg(4, ucycle_edges(4))
+    for k in range(g.n + 1):
+        res = _solve(g, game_id, k)
+        cert = res.certificate
+        assert res.certificate is cert
+        assert verify_certificate(g, game_id, k, cert).ok
+
+
+@pytest.mark.parametrize("game_id", ALL_GAMES)
+@settings(max_examples=30, deadline=None)
+@given(g=small_graphs(), h=small_graphs(), data=st.data())
+def test_late_reads_give_the_certificates_of_prompt_ones(game_id, g, h, data):
+    # two searches held open and read in reverse order give the same
+    # certificates, byte for byte, as searches read at once
+    k = data.draw(st.integers(0, g.n), label="k")
+    j = data.draw(st.integers(0, h.n), label="j")
+    first, second = _solve(g, game_id, k), _solve(h, game_id, j)
+    late = [certificate_to_json(second.certificate), certificate_to_json(first.certificate)]
+    prompt = [certificate_to_json(_solve(h, game_id, j).certificate),
+              certificate_to_json(_solve(g, game_id, k).certificate)]
+    assert json.dumps(late) == json.dumps(prompt)
+
+
+def test_a_built_result_returns_its_certificate():
+    cert = StrategyCertificate("ent", 1, COPS, {("init",): ("start", 0)})
+    res = GameResult(COPS, cert)
+    assert res.winner == COPS and res.certificate is cert

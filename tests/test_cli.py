@@ -193,8 +193,9 @@ def test_unwritable_output_exits_2(run, dicycle_file, tmp_path, monkeypatch, arg
     [
         (("game", "ent", "{graph}", "-k", "9", "--cert", "{out}"), 2),
         (("translate", "{graph}", "-k", "0", "--cert", "{out}"), 1),
+        (("game", "ent", "{graph}", "-k", "1", "--cert", "{out}", "--ceiling", "1"), 2),
     ],
-    ids=["game-bad-k", "translate-thief-wins"],
+    ids=["game-bad-k", "translate-thief-wins", "game-ceiling"],
 )
 def test_failed_run_leaves_output_path_as_it_was(run, dicycle_file, tmp_path, argv, want_rc):
     out = tmp_path / "out.json"
@@ -384,9 +385,13 @@ def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):
     (("measure", "{graph}", "--ent"), "error: ent arena exceeded the position ceiling of 1\n"),
     (("translate", "{graph}", "-k", "2"), "error: comeback arena exceeded the position ceiling of 1\n"),
     (("muterm", "analyze", "{term}"), "error: rank memo exceeded the entry ceiling of 1\n"),
+    (("game", "ent", "{graph}", "-k", "2", "--variant", "et"),
+     "error: et arena exceeded the position ceiling of 1\n"),
+    (("game", "rank", "{graph}", "-k", "2", "--variant", "comeback"),
+     "error: comeback arena exceeded the position ceiling of 1\n"),
 ])
 def test_ceiling_flag_exits_2(run, upath_file, tmp_path, argv, err):
-    # the flag reaches every solver of measure, translate and muterm analyze
+    # the flag reaches every solver of measure, game, translate and muterm analyze
     term = tmp_path / "t.term"
     term.write_text("mu x. f(x, mu y. f(x, f(y, a)))\n")
     rc, out, got = run(*(a.format(graph=upath_file, term=term) for a in argv), "--ceiling", "1")
@@ -395,6 +400,7 @@ def test_ceiling_flag_exits_2(run, upath_file, tmp_path, argv, err):
 
 @pytest.mark.parametrize("argv", [
     ("measure", "{graph}"), ("translate", "{graph}"), ("muterm", "analyze", "{graph}"),
+    ("game", "ent", "{graph}", "-k", "1"), ("replay", "{graph}", "{graph}"),
 ])
 def test_ceiling_flag_below_one_is_refused(run, upath_file, argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -558,10 +564,11 @@ def test_replay_bad_graph_exits_2(run, tmp_path):
 def test_replay_ceiling_exits_2(run, dicycle_file, tmp_path, monkeypatch):
     cert = str(tmp_path / "cert.json")
     run("game", "rank", dicycle_file, "-k", "1", "--variant", "comeback", "--cert", cert)
+    want = (2, "", "error: comeback arena exceeded the position ceiling of 1\n")
+    assert run("replay", dicycle_file, cert, "--ceiling", "1") == want
+    assert run("replay", dicycle_file, cert, "--ceiling", "100") == (0, "ok\n", "")
     monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", 1)
-    rc, out, err = run("replay", dicycle_file, cert)
-    assert rc == 2 and out == ""
-    assert err == "error: comeback arena exceeded the position ceiling of 1\n"
+    assert run("replay", dicycle_file, cert) == want
 
 
 @pytest.mark.parametrize("game_id, argv", (("rank", ("rank",)), ("ent", ("ent",)),
@@ -571,7 +578,8 @@ def test_replay_ceiling_exits_2_for_every_game(run, dicycle_file, tmp_path, monk
                                                game_id, argv):
     cert = str(tmp_path / "cert.json")
     assert run("game", argv[0], dicycle_file, "-k", "1", *argv[1:], "--cert", cert)[0] == 0
+    want = (2, "", f"error: {game_id} arena exceeded the position ceiling of 1\n")
+    assert run("replay", dicycle_file, cert, "--ceiling", "1") == want
+    assert run("replay", dicycle_file, cert, "--ceiling", "100") == (0, "ok\n", "")
     monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", 1)
-    rc, out, err = run("replay", dicycle_file, cert)
-    assert rc == 2 and out == ""
-    assert err == f"error: {game_id} arena exceeded the position ceiling of 1\n"
+    assert run("replay", dicycle_file, cert) == want

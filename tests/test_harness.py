@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entrank.gamecore as gamecore
 import entrank.harness as harness
 from entrank.digraph import Digraph
 from entrank.entgames import solve_pursuit
@@ -253,6 +254,28 @@ def test_tripped_lift_falls_back_to_solving(monkeypatch):
     rec = _sweep(g)
     assert json.dumps(rec.to_obj()) == json.dumps(lifted.to_obj())
     assert sorted(solved) == sorted((v, k) for v in VARIANTS for k in range(g.n + 1))
+
+
+@pytest.mark.parametrize("lifts", (True, False))
+def test_sweep_walks_only_first_cops_certificates(monkeypatch, lifts):
+    # each variant's certificate is read once, at its first cops win, to
+    # be lifted; every other solve, rejected lifts' fallbacks included,
+    # gives its winner alone and walks nothing
+    g = dg(5, ucycle_edges(5))
+    walked = []
+    real_walk = gamecore._walk_strategy
+
+    def count(game, *arrays):
+        walked.append((game.game_id, game.k))
+        return real_walk(game, *arrays)
+
+    monkeypatch.setattr(gamecore, "_walk_strategy", count)
+    if not lifts:
+        monkeypatch.setattr(harness, "verify_certificate",
+                            lambda *args, **kwargs: ReplayReport(False, "rejected for the test"))
+    rec = _sweep(g)
+    assert (rec.ent_k, rec.et_k, rec.entv_k) == (3, 3, 3)
+    assert sorted(walked) == sorted((v, 3) for v in VARIANTS)
 
 
 CEILING_CORPUS = "random:n=5,p=0.3,seed=7,count=20"
