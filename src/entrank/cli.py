@@ -13,7 +13,8 @@ Subcommands::
 Exit status: 0 when the requested work succeeded with zero violations,
 1 when a verification suite or translation reported violations or a
 replayed certificate was rejected, 2 on operational errors (unreadable
-files, malformed certificates, solver ceilings, bad arguments).
+files, an input file that is not UTF-8 text, malformed certificates,
+solver ceilings, bad arguments).
 
 ``verify --json -`` (or bare ``--json``) writes the report JSON to
 stdout and moves the human-readable summary to stderr, so that piped
@@ -40,7 +41,7 @@ from .gamecore import (
     make_game,
     verify_certificate,
 )
-from .graphio import GraphFormatError, load_graph, save_edge_list
+from .graphio import GraphFormatError, parse_graph, save_edge_list
 from .harness import VerificationReport, run_equivalence_suite, run_theorem_suite
 from .muterm import ParseError, analyze, parse as parse_term
 from .rank import RankDepthError, rank, solve_comeback_game
@@ -53,10 +54,20 @@ EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
 
 
-def _load(path: str):
+def _read(path: str, what: str) -> str:
+    """The UTF-8 text of input file ``path``; unreadable, it exits with
+    ``error: cannot {what} {path!r}: …``."""
     try:
-        return load_graph(path)
-    except (OSError, GraphFormatError) as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"error: cannot {what} {path!r}: {exc}")
+
+
+def _load(path: str):
+    text = _read(path, "load graph")
+    try:
+        return parse_graph(text)
+    except GraphFormatError as exc:
         raise SystemExit(f"error: cannot load graph {path!r}: {exc}")
 
 
@@ -103,19 +114,16 @@ def cmd_game(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     variant = args.variant or _GAME_VARIANTS[args.game][0]
     if variant not in _GAME_VARIANTS[args.game]:
-        print(
+        raise SystemExit(
             f"error: variant {variant!r} does not belong to game {args.game!r} "
-            f"(choose from {', '.join(_GAME_VARIANTS[args.game])})",
-            file=sys.stderr,
+            f"(choose from {', '.join(_GAME_VARIANTS[args.game])})"
         )
-        return EXIT_ERROR
     _check_writable(args.cert, "certificate")
     try:
         # the CLI's ``shrink`` variant is the game id ``rank``
         result = GAMES["rank" if variant == "shrink" else variant].solve(g, args.k, args.ceiling)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit(f"error: {exc}")
     print(f"game: {variant}  k: {args.k}  winner: {result.winner}")
     if args.cert:
         _write_certificate(args.cert, result.certificate)
@@ -164,18 +172,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.corpus:
-        try:
-            spec = CorpusSpec.parse(args.corpus)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-    elif args.family:
-        spec = CorpusSpec(mode="family", name=args.family, size=args.size)
-    else:
-        spec = CorpusSpec(
-            mode="random", n=args.n, p=args.p, seed=args.seed, count=args.count
-        )
     try:
+        if args.corpus:
+            spec = CorpusSpec.parse(args.corpus)
+        elif args.family:
+            spec = CorpusSpec(mode="family", name=args.family, size=args.size)
+        else:
+            spec = CorpusSpec(
+                mode="random", n=args.n, p=args.p, seed=args.seed, count=args.count
+            )
         spec.validate()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -192,16 +197,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_muterm(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.term).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.term!r}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    text = _read(args.term, "read")
     try:
         term = parse_term(text)
     except ParseError as exc:
-        print(f"error: cannot parse {args.term!r}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit(f"error: cannot parse {args.term!r}: {exc}")
     print(json.dumps(analyze(term, ceiling=args.ceiling), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -216,8 +216,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
             raise ValueError(f"budget k={k} must satisfy 0 <= k <= {g.n}, the vertex count")
         res = solve_comeback_game(g, k, args.ceiling)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit(f"error: {exc}")
     if res.winner != COPS:
         print(f"thief wins the comeback game at k={k}; nothing to translate")
         return EXIT_VIOLATIONS
@@ -246,18 +245,13 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    try:
-        text = Path(args.cert).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.cert!r}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    text = _read(args.cert, "read")
     try:
         cert = certificate_from_json(json.loads(text))
         # the game id and k come from the file; the game checks them
         make_game(g, cert.game, cert.k)
     except (ValueError, RecursionError) as exc:
-        print(f"error: bad certificate {args.cert!r}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit(f"error: bad certificate {args.cert!r}: {exc}")
     report = verify_certificate(g, cert.game, cert.k, cert, args.ceiling)
     if not report.ok:
         print(f"rejected: {report.reason}")
@@ -382,13 +376,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ArenaCeilingError, RankDepthError) as exc:  # resource stops, in any command
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = f"error: {exc}"
     except SystemExit as exc:  # our error messages carry a string code
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_ERROR
-        raise
+        if not isinstance(exc.code, str):
+            raise
+        message = exc.code
+    print(message, file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

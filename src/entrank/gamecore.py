@@ -401,14 +401,15 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
     succ: list[list[int]] = []
     parent: dict[int, int] = {}
 
-    def trace_to(i: int) -> list[Any]:
-        steps: list[Any] = []
+    def reject(reason: str, i: int, move: Any = None) -> ReplayReport:
+        """Fail at ``nodes[i]``: the trace from the start to it, then ``move`` there."""
+        steps = [(game.pos_key(nodes[i]), move)]
         while i in parent:
             j = parent[i]
             steps.append((game.pos_key(nodes[j]), game.move_key(nodes[j], nodes[i])))
             i = j
         steps.reverse()
-        return steps
+        return ReplayReport(False, reason, steps)
 
     i = 0
     while i < len(nodes):
@@ -417,29 +418,17 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
         if term is not None:
             succ.append([])
             if term != winner:
-                steps = trace_to(i)
-                steps.append((game.pos_key(pos), None))
-                return ReplayReport(
-                    False, f"a play ends in a win for {term}", steps
-                )
+                return reject(f"a play ends in a win for {term}", i)
             i += 1
             continue
         if game.owner(pos) == winner:
             key = game.pos_key(pos)
             mk = cert.moves.get(key)
             if mk is None:
-                steps = trace_to(i)
-                steps.append((key, None))
-                return ReplayReport(
-                    False, f"no move recorded for position {key!r}", steps
-                )
+                return reject(f"no move recorded for position {key!r}", i)
             q = game.play(pos, mk)
             if q is None:
-                steps = trace_to(i)
-                steps.append((key, mk))
-                return ReplayReport(
-                    False, f"recorded move {mk!r} is illegal at {key!r}", steps
-                )
+                return reject(f"recorded move {mk!r} is illegal at {key!r}", i, mk)
             chosen = [q]
         else:
             chosen = game.successors(pos)
@@ -457,37 +446,32 @@ def verify_certificate(g, game_id: str, k: int, cert: StrategyCertificate,
         succ.append(row)
         i += 1
 
-    # cycle detection over the strategy-restricted graph
+    # cycle detection over the strategy-restricted graph; the stack holds
+    # the path from the start to the node being expanded
     if winner == COPS or game.finite_plays:
         color = [0] * len(nodes)  # 0 unvisited, 1 on stack, 2 done
         stack: list[tuple[int, int]] = [(0, 0)]
         color[0] = 1
-        path = [0]
         while stack:
             node, ptr = stack.pop()
             row = succ[node]
-            advanced = False
             while ptr < len(row):
                 j = row[ptr]
                 ptr += 1
                 if color[j] == 1:
-                    steps = [(game.pos_key(nodes[x]), None) for x in path]
-                    steps.append((game.pos_key(nodes[j]), None))
+                    cycle = [x for x, _ in stack] + [node, j]
                     return ReplayReport(
                         False,
                         "the play can repeat a position (infinite play)",
-                        steps,
+                        [(game.pos_key(nodes[x]), None) for x in cycle],
                     )
                 if color[j] == 0:
                     stack.append((node, ptr))
                     color[j] = 1
                     stack.append((j, 0))
-                    path.append(j)
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[node] = 2
-                path.pop()
     return ReplayReport(True)
 
 

@@ -189,28 +189,23 @@ def _theorem_worker(task) -> ReportRecord:
 
 def _translate_and_verify(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
     k = rec.rank
+    step = "comeback arena"
     try:
         res = solve_comeback_game(g, k, ceiling=ceiling)
-    except ArenaCeilingError as exc:
-        rec.skips.append(f"comeback arena exceeded {exc.limit} positions at k={k}")
-        return
-    if res.winner != COPS:
-        rec.certificate_ok = False
-        rec.failures.append(f"comeback game lost at k = rank = {k}")
-        return
-    try:
+        if res.winner != COPS:
+            rec.certificate_ok = False
+            rec.failures.append(f"comeback game lost at k = rank = {k}")
+            return
+        step = "translation"
         cert = translate_rank_strategy(g, res.certificate, ceiling)
+        step = "entv replay"
+        replay = verify_certificate(g, "entv", k, cert, ceiling=ceiling)
     except ArenaCeilingError as exc:
-        rec.skips.append(f"translation exceeded {exc.limit} positions at k={k}")
+        rec.skips.append(f"{step} exceeded {exc.limit} positions at k={k}")
         return
     except TranslationError as exc:
         rec.certificate_ok = False
         rec.failures.append(f"strategy translation failed at k={k}: {exc}")
-        return
-    try:
-        replay = verify_certificate(g, "entv", k, cert, ceiling=ceiling)
-    except ArenaCeilingError as exc:
-        rec.skips.append(f"entv replay exceeded {exc.limit} positions at k={k}")
         return
     rec.certificate_ok = replay.ok
     if not replay.ok:

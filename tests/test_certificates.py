@@ -88,6 +88,44 @@ def test_illegal_move_is_detected():
     assert "illegal" in rep.reason
 
 
+def _replay_both(g, cert):
+    """Replay ``cert`` and check that the reference replay agrees."""
+    rep = verify_certificate(g, cert.game, cert.k, cert)
+    got = (rep.ok, rep.reason, rep.trace)
+    assert got == replay_by_moves(make_game(g, cert.game, cert.k), cert)
+    return got
+
+
+def test_skipping_cops_are_rejected_for_an_infinite_play():
+    # one cop on a 2-cycle that never places it: the play runs round the cycle
+    g = Digraph(2, [(0, 1), (1, 0)])
+    cert = StrategyCertificate(
+        "ent", 1, COPS, {(v, (), (), "cops"): ("occupy", (), ()) for v in (0, 1)}
+    )
+    assert _replay_both(g, cert) == (
+        False,
+        "the play can repeat a position (infinite play)",
+        [(("init",), None), ((0, (), (), "cops"), None), ((0, (), (), "thief"), None),
+         ((1, (), (), "cops"), None), ((1, (), (), "thief"), None),
+         ((0, (), (), "cops"), None)],
+    )
+
+
+def test_thief_walking_into_a_dead_end_is_rejected():
+    # with no cops the thief still loses at the sink 1 of the edge 0 -> 1
+    g = Digraph(2, [(0, 1)])
+    cert = StrategyCertificate(
+        "ent", 0, THIEF, {("init",): ("start", 0), (0, (), (), "thief"): ("to", 1)}
+    )
+    assert _replay_both(g, cert) == (
+        False,
+        "a play ends in a win for cops",
+        [(("init",), ("start", 0)), ((0, (), (), "cops"), ("occupy", (), ())),
+         ((0, (), (), "thief"), ("to", 1)), ((1, (), (), "cops"), ("occupy", (), ())),
+         ((1, (), (), "thief"), None)],
+    )
+
+
 def test_wrong_game_id_is_rejected():
     g = dg(3, dicycle_edges(3))
     cert = solve_pursuit(g, 1, variant="ent").certificate

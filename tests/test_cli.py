@@ -583,3 +583,20 @@ def test_replay_ceiling_exits_2_for_every_game(run, dicycle_file, tmp_path, monk
     assert run("replay", dicycle_file, cert, "--ceiling", "100") == (0, "ok\n", "")
     monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", 1)
     assert run("replay", dicycle_file, cert) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "{bad}"),
+    ("game", "ent", "{bad}", "-k", "1"),
+    ("verify", "theorem", "{bad}"),
+    ("translate", "{bad}"),
+    ("muterm", "analyze", "{bad}"),
+    ("replay", "{graph}", "{bad}"),
+], ids=lambda argv: argv[0])
+def test_non_text_input_exits_2(run, dicycle_file, tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    rc, out, err = run(*(a.format(bad=bad, graph=dicycle_file) for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -10,13 +10,14 @@ import entrank.gamecore as gamecore
 import entrank.harness as harness
 from entrank.digraph import Digraph
 from entrank.entgames import solve_pursuit
-from entrank.gamecore import COPS, ArenaCeilingError, ReplayReport
+from entrank.gamecore import COPS, THIEF, ArenaCeilingError, GameResult, ReplayReport
 from entrank.harness import (
     ReportRecord,
     VerificationReport,
     run_equivalence_suite,
     run_theorem_suite,
 )
+from entrank.translate import TranslationError
 
 from conftest import dg, dicycle_edges, ucycle_edges
 
@@ -100,13 +101,32 @@ def test_tripped_translation_or_replay_is_a_skip():
     # on dicycle-3 at k = rank = 1 the comeback game stores 3 positions,
     # the translation 12 and the replay of its certificate 13
     g = dg(3, dicycle_edges(3))
-    for ceiling, skips in ((5, ["translation exceeded 5 positions at k=1"]),
+    for ceiling, skips in ((2, ["comeback arena exceeded 2 positions at k=1"]),
+                           (5, ["translation exceeded 5 positions at k=1"]),
                            (12, ["entv replay exceeded 12 positions at k=1"]),
                            (13, [])):
         rec = ReportRecord("g", 3, [], rank=1)
         harness._translate_and_verify(g, rec, ceiling)
         assert rec.skips == skips and rec.failures == []
         assert rec.certificate_ok is (None if skips else True)
+
+
+def _fail_translation(*args, **kwargs):
+    raise TranslationError("x")
+
+
+@pytest.mark.parametrize("target, stub, failure", [
+    pytest.param("solve_comeback_game", lambda *args, **kwargs: GameResult(THIEF),
+                 "comeback game lost at k = rank = 1", id="comeback-lost"),
+    pytest.param("translate_rank_strategy", _fail_translation,
+                 "strategy translation failed at k=1: x", id="translation-failed"),
+])
+def test_lost_comeback_or_failed_translation_is_a_failure(monkeypatch, target, stub, failure):
+    monkeypatch.setattr(harness, target, stub)
+    rec = ReportRecord("g", 3, [], rank=1)
+    harness._translate_and_verify(dg(3, dicycle_edges(3)), rec, None)
+    assert rec.failures == [failure] and rec.skips == []
+    assert rec.certificate_ok is False
 
 
 def test_big_graphs_skip_game_cross_checks():
