@@ -69,6 +69,8 @@ def _load(path: str):
         return parse_graph(text)
     except GraphFormatError as exc:
         raise SystemExit(f"error: cannot load graph {path!r}: {exc}")
+    except MemoryError:  # a vertex count too large to hold
+        raise SystemExit(f"error: cannot load graph {path!r}: out of memory") from None
 
 
 def _check_writable(path: str | None, what: str) -> None:

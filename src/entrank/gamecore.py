@@ -12,9 +12,8 @@ Every game object in this package exposes the same small protocol:
   its successor ``dst``
 * ``play(pos, move_key)`` -> the successor of ``pos`` that the key
   names, or ``None`` for a key that names no legal move (never raises
-  on a malformed or foreign key); the pursuit and comeback games
-  decode the key and check that one move instead of building every
-  successor
+  on a malformed or foreign key); every game decodes the key and
+  checks that one move instead of building every successor
 * ``moves(pos)`` -> list of ``(move_key, successor)``, derived from
   ``successors`` and ``move_key``; solvers walk ``successors`` and name
   only the moves they record, replay follows recorded moves by ``play``
@@ -23,7 +22,7 @@ Every game object in this package exposes the same small protocol:
   replay whether a thief strategy must be checked for cycles
 
 A position is its own dictionary key within one game instance:
-pursuit and shrink positions are tuples, and comeback positions are
+pursuit positions are tuples, and shrink and comeback positions are
 hash-consed, so equal ones are the same object.
 
 One solver, :func:`solve_finite_game`, solves every game.  It walks

@@ -48,8 +48,11 @@ of its vertices, spending one unit of a budget of ``k``; the cops win
 iff the graph runs out of cycles before the budget runs out.  The
 comeback variant additionally lets the thief return to any component
 that was reachable *ahead* of an earlier choice, restoring the budget
-in force back then.  Both games are finite and solved exactly by the
-one local solver, :func:`.gamecore.solve_finite_game`.
+in force back then.  The shrinking game is the comeback game with
+recording turned off: :class:`RankShrinkGame` subclasses
+:class:`ComebackGame` and records nothing on entering a component, so
+its collection stays empty.  Both games are finite and solved exactly
+by the one local solver, :func:`.gamecore.solve_finite_game`.
 """
 
 from __future__ import annotations
@@ -252,77 +255,15 @@ def rank(g: Digraph, ceiling: int | None = None) -> int:
         ) from None
 
 
-class RankShrinkGame:
-    """Thief-and-cops shrinking game with a deletion budget of ``k``.
-
-    Positions are ``(mask, turn, budget)``.  On the thief's turn the
-    play halts with a cops win if the masked graph is acyclic, and with
-    a thief win if cycles remain but the budget is 0; otherwise the
-    thief enters a nontrivial component.  The cops then delete one of
-    its vertices, decrementing the budget.
-    """
-
-    game_id = "rank"
-    finite_plays = True
-
-    def __init__(self, g: Digraph, k: int):
-        if k < 0:
-            raise ValueError("budget k must be >= 0")
-        self.g = g
-        self.k = k
-        self.decompose = cache(partial(scc_decompose, g))
-
-    def initial_position(self):
-        return (self.g.full_mask, THIEF, self.k)
-
-    def owner(self, pos) -> str:
-        return pos[1]
-
-    def winner_if_terminal(self, pos) -> str | None:
-        mask, turn, n = pos
-        if turn != THIEF:
-            return None
-        if not self.decompose(mask):
-            return COPS
-        if n == 0:
-            return THIEF
-        return None
-
-    def successors(self, pos):
-        mask, turn, n = pos
-        if turn == THIEF:
-            return [(c, COPS, n) for c, _ in self.decompose(mask)]
-        return [(mask & ~(1 << v), THIEF, n - 1) for v in iter_mask(mask)]
-
-    def move_key(self, src, dst):
-        if src[1] == THIEF:
-            return ("enter", tuple(iter_mask(dst[0])))
-        return ("remove", (src[0] & ~dst[0]).bit_length() - 1)
-
-    def moves(self, pos):
-        return [(self.move_key(pos, q), q) for q in self.successors(pos)]
-
-    def play(self, pos, mk):
-        """The successor of ``pos`` that move key ``mk`` names, or ``None``."""
-        return next((q for q in self.successors(pos) if self.move_key(pos, q) == mk), None)
-
-    def pos_key(self, pos):
-        mask, turn, n = pos
-        return (tuple(iter_mask(mask)), turn, n)
-
-
-def solve_rank_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
-    """Winner and positional certificate of the shrinking game at ``k``."""
-    return solve_finite_game(RankShrinkGame(g, k), ceiling)
-
-
 class CPos:
-    """Hash-consed position of the comeback game.
+    """Hash-consed position of the comeback and shrinking games.
 
     ``entries`` is the comeback collection: cops-turn positions the
-    thief may return to, canonically ordered by intern id.  Structural
-    equality is identity by construction, so positions hash and compare
-    at pointer speed.
+    thief may return to, canonically ordered by intern id.  The
+    shrinking game is the comeback game with recording turned off, so
+    its positions always have ``entries == ()``.  Structural equality is
+    identity by construction, so positions hash and compare at pointer
+    speed.
     """
 
     __slots__ = ("uid", "mask", "turn", "entries", "n")
@@ -464,6 +405,32 @@ class ComebackGame:
 def solve_comeback_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
     """Winner and certificate of the comeback game at budget ``k``."""
     return solve_finite_game(ComebackGame(g, k), ceiling)
+
+
+class RankShrinkGame(ComebackGame):
+    """Thief-and-cops shrinking game with a deletion budget of ``k``.
+
+    The comeback game with recording turned off: entering a component
+    records nothing, so the collection stays empty, the thief never
+    comes back, and the play ends with a cops win once the graph is
+    acyclic.  Position keys are ``(vertices, turn, counter)``.
+    """
+
+    game_id = "rank"
+    # the benchmark tracer counts calls of ``moves`` found in each
+    # class's own namespace
+    moves = ComebackGame.moves
+
+    def _enter(self, pos: CPos, c: int, ahead) -> CPos:
+        return self._pos(c, COPS, (), pos.n)
+
+    def pos_key(self, pos: CPos):
+        return (tuple(iter_mask(pos.mask)), pos.turn, pos.n)
+
+
+def solve_rank_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
+    """Winner and positional certificate of the shrinking game at ``k``."""
+    return solve_finite_game(RankShrinkGame(g, k), ceiling)
 
 
 GAMES["rank"] = GameSpec(RankShrinkGame, solve_rank_game, ("vertices", "turn", "counter"))

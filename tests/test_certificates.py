@@ -194,13 +194,23 @@ def test_malformed_json_names_the_field(game_id, mutate, field):
 # ----------------------------------------------- mutated certificates rejected
 
 
-def _position(game_id, key):
-    """The game position behind a pursuit or shrink-game position key."""
-    if game_id == "rank":
-        verts, turn, counter = key
-        return (mask_of(verts), turn, counter)
-    v, cops, virtual, turn = key
-    return (v, mask_of(cops), mask_of(virtual), turn)
+def _position(game, key):
+    """The position of ``game`` behind a pursuit or shrink-game position key."""
+    if game.game_id != "rank":
+        v, cops, virtual, turn = key
+        return (v, mask_of(cops), mask_of(virtual), turn)
+    # shrink positions are interned objects: find the one a walk from the
+    # start reaches under ``key``
+    seen, todo = set(), [game.initial_position()]
+    while todo:
+        pos = todo.pop()
+        if game.pos_key(pos) == key:
+            return pos
+        if game.winner_if_terminal(pos) is None:
+            fresh = [q for q in game.successors(pos) if q not in seen]
+            seen.update(fresh)
+            todo.extend(fresh)
+    raise AssertionError(f"no position reached under {key}")
 
 
 def _cops_move_keys(game_id, n):
@@ -245,7 +255,7 @@ def test_mutated_cops_certificates_are_rejected(game_id, g, data):
     # one move replaced by a key that is illegal at its position
     at = data.draw(st.sampled_from(keys), label="retargeted")
     game = make_game(g, game_id, k)
-    legal = {mk for mk, _ in game.moves(_position(game_id, at))}
+    legal = {mk for mk, _ in game.moves(_position(game, at))}
     illegal = [mk for mk in _cops_move_keys(game_id, g.n) if mk not in legal]
     rep = replay({**cert.moves, at: data.draw(st.sampled_from(illegal), label="key")})
     assert not rep.ok and "illegal" in rep.reason

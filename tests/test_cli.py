@@ -600,3 +600,31 @@ def test_non_text_input_exits_2(run, dicycle_file, tmp_path, argv):
     assert rc == 2 and out == ""
     assert err.startswith("error: cannot ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["100000000000\n", "digraph { 100000000000 }\n"],
+                         ids=["edges", "dot"])
+def test_huge_vertex_count_exits_2_under_a_memory_limit(tmp_path, text):
+    # a vertex count too large to hold is an operational error; the
+    # child's address space is capped at about 600 MB so that the
+    # allocation fails fast with a MemoryError instead of exhausting the
+    # machine
+    pytest.importorskip("resource")
+    graph = tmp_path / "huge.txt"
+    graph.write_text(text)
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+        "from entrank.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(entrank.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "measure", str(graph)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: cannot load graph {str(graph)!r}: out of memory\n"

@@ -139,12 +139,15 @@ def test_exhausted_component_forces_a_comeback():
         assert game.pos_key(np) in {game.pos_key(e) for e in forced.entries}
 
 
-def test_comeback_positions_are_interned():
+@pytest.mark.parametrize("game_type", [ComebackGame, RankShrinkGame], ids=["comeback", "rank"])
+def test_comeback_positions_are_interned(game_type):
     # The solver keys its tables by the positions themselves, and a
     # comeback position hashes by identity, so equal positions must be one
     # object: two deletion orders reach the same thief position, and the
     # reachable objects are one-to-one with (mask, turn, entry uids, n).
-    game = ComebackGame(Digraph(4, clique_edges(4)), 3)
+    # The shrink game is the comeback game that records nothing, and
+    # shares its positions.
+    game = game_type(Digraph(4, clique_edges(4)), 3)
     routes = []
     for first, second in ((0, 1), (1, 0)):
         pos = game.initial_position()
@@ -160,7 +163,7 @@ def test_comeback_positions_are_interned():
         n = rng.randrange(1, 6)
         g = dg(n, random_edges(n, 0.35, rng))
         for k in range(n + 1):
-            game = ComebackGame(g, k)
+            game = game_type(g, k)
             seen = {game.initial_position()}
             todo = list(seen)
             while todo:
@@ -170,6 +173,27 @@ def test_comeback_positions_are_interned():
                         todo.append(q)
             shapes = {(p.mask, p.turn, tuple(e.uid for e in p.entries), p.n) for p in seen}
             assert len(shapes) == len(seen), (n, k)
+
+
+def test_shrink_game_records_nothing():
+    # entering a component records nothing, so every reachable shrink
+    # position has an empty collection and no move is a comeback
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        g = dg(n, random_edges(n, 0.4, rng))
+        for k in range(n + 1):
+            game = RankShrinkGame(g, k)
+            seen = {game.initial_position()}
+            todo = list(seen)
+            while todo:
+                p = todo.pop()
+                assert p.entries == (), (n, k, p)
+                for mk, q in game.moves(p):
+                    assert mk[0] != "comeback", (n, k, p, mk)
+                    if q not in seen:
+                        seen.add(q)
+                        todo.append(q)
 
 
 @pytest.mark.parametrize("solve", [solve_rank_game, solve_comeback_game])
