@@ -8,7 +8,7 @@ when it carries a loop.  Parallel edges are rejected at construction.
 Subgraphs of a fixed parent graph are passed around as live-vertex
 bitmasks (``int``), so that derived quantities can be memoised on
 canonical integer keys; all solvers in this package work on (parent
-graph, mask) pairs internally.  Each graph keeps a successor and a
+graph, mask) pairs internally.  A graph is only a successor and a
 predecessor mask per vertex, and the one SCC primitive works on them:
 :func:`component` is the backward closure of a vertex inside its
 forward closure, and :func:`components` peels components off a mask,
@@ -48,32 +48,30 @@ def iter_mask(mask: int) -> Iterator[int]:
 
 
 class Digraph:
-    """Immutable digraph on vertices ``0 .. n-1``."""
+    """Immutable digraph on vertices ``0 .. n-1``, held as two mask tuples:
+    bit ``w`` of ``succ_masks[v]`` and bit ``v`` of ``pred_masks[w]`` are
+    the edge ``v -> w``.  Every other view is read off them."""
 
-    __slots__ = ("_n", "_edges", "_adj", "_radj", "full_mask", "succ_masks", "pred_masks")
+    __slots__ = ("_n", "full_mask", "succ_masks", "pred_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        radj: list[list[int]] = [[] for _ in range(n)]
+        # the lists come first: a vertex count too large to hold fails here
+        succ = [0] * n
+        pred = [0] * n
         for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e!r} outside vertex range 0..{n - 1}")
-            if (u, v) in seen:
+            if succ[u] >> v & 1:
                 raise ValueError(f"parallel edge {(u, v)!r}")
-            seen.add((u, v))
-            adj[u].append(v)
-            radj[v].append(u)
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
         self._n = n
-        self._edges = frozenset(seen)
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self._radj = tuple(tuple(sorted(s)) for s in radj)
         self.full_mask = (1 << n) - 1
-        self.succ_masks = tuple(mask_of(s) for s in self._adj)
-        self.pred_masks = tuple(mask_of(s) for s in self._radj)
+        self.succ_masks = tuple(succ)
+        self.pred_masks = tuple(pred)
 
     @property
     def n(self) -> int:
@@ -81,33 +79,33 @@ class Digraph:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        return frozenset((u, v) for u, s in enumerate(self.succ_masks) for v in iter_mask(s))
 
     def vertices(self) -> range:
         return range(self._n)
 
     def successors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(iter_mask(self.succ_masks[v]))
 
     def predecessors(self, v: int) -> tuple[int, ...]:
-        return self._radj[v]
+        return tuple(iter_mask(self.pred_masks[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edges
+        return 0 <= u < self._n and 0 <= v and bool(self.succ_masks[u] >> v & 1)
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(s.bit_count() for s in self.succ_masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self.succ_masks == other.succ_masks
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, self.succ_masks))
 
     def __repr__(self) -> str:
-        return f"Digraph({self._n}, {sorted(self._edges)!r})"
+        return f"Digraph({self._n}, {sorted(self.edges)!r})"
 
 
 def _closure(v: int, adj: tuple[int, ...], within: int) -> int:

@@ -87,7 +87,7 @@ class PursuitGame:
     # -- move rules ------------------------------------------------------
 
     def thief_targets(self, v: int, cmask: int) -> list[int]:
-        return [w for w in self.g.successors(v) if not (cmask >> w) & 1]
+        return list(iter_mask(self.g.succ_masks[v] & ~cmask))
 
     def cop_configs(self, v: int, cmask: int, vmask: int) -> list[tuple[int, int]]:
         """Legal ``(cop_mask, virtual_mask)`` results of one Cops turn.

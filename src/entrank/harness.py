@@ -148,8 +148,8 @@ def _resolve(corpus: CorpusLike) -> tuple[list[tuple[str, Digraph]], str]:
     return graphs, f"explicit:{len(graphs)} graphs"
 
 
-def _new_record(graph_id: str, n: int, edges: tuple[tuple[int, int], ...]) -> ReportRecord:
-    return ReportRecord(graph_id=graph_id, n=n, edges=[list(e) for e in edges])
+def _new_record(graph_id: str, g: Digraph) -> ReportRecord:
+    return ReportRecord(graph_id=graph_id, n=g.n, edges=[list(e) for e in sorted(g.edges)])
 
 
 def _rank_or_skip(g: Digraph, rec: ReportRecord, ceiling: int | None) -> bool:
@@ -167,9 +167,8 @@ def _rank_or_skip(g: Digraph, rec: ReportRecord, ceiling: int | None) -> bool:
 
 
 def _theorem_worker(task) -> ReportRecord:
-    graph_id, n, edges, do_translate, ceiling = task
-    g = Digraph(n, edges)
-    rec = _new_record(graph_id, n, edges)
+    graph_id, g, do_translate, ceiling = task
+    rec = _new_record(graph_id, g)
     if not _rank_or_skip(g, rec, ceiling):
         return rec
     try:
@@ -215,9 +214,8 @@ def _translate_and_verify(g: Digraph, rec: ReportRecord, ceiling: int | None) ->
 
 
 def _equivalence_worker(task) -> ReportRecord:
-    graph_id, n, edges, ceiling = task
-    g = Digraph(n, edges)
-    rec = _new_record(graph_id, n, edges)
+    graph_id, g, ceiling = task
+    rec = _new_record(graph_id, g)
     if not _rank_or_skip(g, rec, ceiling):
         return rec
 
@@ -227,8 +225,8 @@ def _equivalence_worker(task) -> ReportRecord:
         ("rank", "shrink_game_k", SHRINK_GAME_MAX_N, "shrink-game", "shrink-game"),
         ("comeback", "comeback_game_k", COMEBACK_GAME_MAX_N, "comeback", "comeback-game"),
     ):
-        if n > max_n:
-            rec.skips.append(f"{name} check skipped (n={n} > {max_n})")
+        if g.n > max_n:
+            rec.skips.append(f"{name} check skipped (n={g.n} > {max_n})")
             continue
         try:
             least = least_winning_k(g, game_id, ceiling)
@@ -239,10 +237,10 @@ def _equivalence_worker(task) -> ReportRecord:
         if least != rec.rank:
             rec.failures.append(f"{failed} min-k {least} != rank {rec.rank}")
 
-    if n <= VARIANT_SWEEP_MAX_N:
+    if g.n <= VARIANT_SWEEP_MAX_N:
         _sweep_variants(g, rec, ceiling)
     else:
-        rec.skips.append(f"variant sweep skipped (n={n} > {VARIANT_SWEEP_MAX_N})")
+        rec.skips.append(f"variant sweep skipped (n={g.n} > {VARIANT_SWEEP_MAX_N})")
     return rec
 
 
@@ -325,7 +323,7 @@ def run_theorem_suite(corpus: CorpusLike, *, translate: bool = False,
                       jobs: int = 1, ceiling: int | None = None) -> VerificationReport:
     _check_counts(jobs, ceiling)
     graphs, label = _resolve(corpus)
-    tasks = [(gid, g.n, tuple(sorted(g.edges)), translate, ceiling) for gid, g in graphs]
+    tasks = [(gid, g, translate, ceiling) for gid, g in graphs]
     t0 = time.perf_counter()
     records = _run_tasks(_theorem_worker, tasks, jobs)
     return VerificationReport("theorem", label, records, time.perf_counter() - t0)
@@ -335,7 +333,7 @@ def run_equivalence_suite(corpus: CorpusLike, *, jobs: int = 1,
                           ceiling: int | None = None) -> VerificationReport:
     _check_counts(jobs, ceiling)
     graphs, label = _resolve(corpus)
-    tasks = [(gid, g.n, tuple(sorted(g.edges)), ceiling) for gid, g in graphs]
+    tasks = [(gid, g, ceiling) for gid, g in graphs]
     t0 = time.perf_counter()
     records = _run_tasks(_equivalence_worker, tasks, jobs)
     return VerificationReport("equivalence", label, records, time.perf_counter() - t0)

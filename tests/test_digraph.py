@@ -39,6 +39,26 @@ def test_basics():
     assert sorted(g.edges) == [(0, 1), (1, 2), (2, 0), (3, 3)]
 
 
+@settings(max_examples=120, deadline=None)
+@given(graphs, st.randoms(use_true_random=False))
+def test_views_match_the_edge_list(ne, rnd):
+    n, edges = ne
+    g = Digraph(n, edges)
+    assert sorted(g.edges) == edges
+    assert g.edge_count() == len(edges)
+    for u in range(n):
+        assert g.successors(u) == tuple(w for x, w in edges if x == u)
+        assert g.predecessors(u) == tuple(x for x, w in edges if w == u)
+        for v in range(n):
+            assert g.has_edge(u, v) == ((u, v) in edges)
+    # the same edges in another order build an equal graph
+    shuffled = list(edges)
+    rnd.shuffle(shuffled)
+    h = Digraph(n, shuffled)
+    assert h == g and hash(h) == hash(g)
+    assert Digraph(n + 1, edges) != g
+
+
 def test_bad_edges_rejected():
     with pytest.raises(ValueError):
         Digraph(2, [(0, 2)])

@@ -153,9 +153,11 @@ def test_json_report_is_deterministic_and_excludes_timing():
 
 
 def test_parallel_equals_serial():
-    rep1 = run_theorem_suite(SMALL, translate=True, jobs=1)
-    rep2 = run_theorem_suite(SMALL, translate=True, jobs=2)
-    assert rep1.to_json() == rep2.to_json()
+    # workers get each graph pickled, in both suites
+    for suite, kwargs in ((run_theorem_suite, {"translate": True}), (run_equivalence_suite, {})):
+        rep1 = suite(SMALL, jobs=1, **kwargs)
+        rep2 = suite(SMALL, jobs=2, **kwargs)
+        assert rep1.to_json() == rep2.to_json(), suite.__name__
 
 
 def test_planted_violation_is_reported(monkeypatch):
