@@ -60,7 +60,6 @@ from .rank import (
     RankShrinkGame,
     rank,
     solve_comeback_game,
-    solve_rank_game,
 )
 from .translate import TranslationError, translate_rank_strategy
 
@@ -81,7 +80,6 @@ __all__ = [
     "RankCeilingError",
     "RankShrinkGame",
     "ComebackGame",
-    "solve_rank_game",
     "solve_comeback_game",
     # pursuit games
     "PursuitGame",

@@ -33,12 +33,12 @@ from .corpus import FAMILIES, CorpusSpec, generate_corpus
 from .entgames import VARIANTS, entanglement
 from .gamecore import (
     COPS,
-    GAMES,
     ArenaCeilingError,
     StrategyCertificate,
     certificate_from_json,
     certificate_to_json,
     make_game,
+    solve_finite_game,
     verify_certificate,
 )
 from .graphio import GraphFormatError, parse_graph, save_edge_list
@@ -123,7 +123,8 @@ def cmd_game(args: argparse.Namespace) -> int:
     _check_writable(args.cert, "certificate")
     try:
         # the CLI's ``shrink`` variant is the game id ``rank``
-        result = GAMES["rank" if variant == "shrink" else variant].solve(g, args.k, args.ceiling)
+        game = make_game(g, "rank" if variant == "shrink" else variant, args.k)
+        result = solve_finite_game(game, args.ceiling)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     print(f"game: {variant}  k: {args.k}  winner: {result.winner}")

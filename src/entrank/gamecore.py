@@ -15,8 +15,8 @@ Every game object in this package exposes the same small protocol:
   on a malformed or foreign key); every game decodes the key and
   checks that one move instead of building every successor
 * ``moves(pos)`` -> list of ``(move_key, successor)``, derived from
-  ``successors`` and ``move_key``; solvers walk ``successors`` and name
-  only the moves they record, replay follows recorded moves by ``play``
+  ``successors`` and ``move_key``; nothing in the package calls it, and
+  it stays for the benchmark tracer, which counts its calls
 * ``pos_key(pos)`` -> hashable, instance-independent position encoding
 * ``finite_plays`` -- True when no infinite play exists; it only tells
   replay whether a thief strategy must be checked for cycles
@@ -49,10 +49,11 @@ Canonical move keys: ``("enter", vertices)``, ``("remove", v)``,
 configuration).
 
 :data:`GAMES` maps each game id (``rank``, ``comeback``, ``ent``,
-``et``, ``entv``) to a :class:`GameSpec`: how to build and solve the
-game, and the JSON field names of its position keys.  :mod:`.rank` and
-:mod:`.entgames` register their games when imported; :func:`make_game`,
-the certificate JSON codec and the CLI look them up there.
+``et``, ``entv``) to a :class:`GameSpec`: how to build the game, and
+the JSON field names of its position keys.  :mod:`.rank` and
+:mod:`.entgames` register their games when imported; :func:`make_game`
+and the certificate JSON codec look them up there.  Each game that
+:func:`make_game` builds is solved by :func:`solve_finite_game`.
 
 Game objects do not count positions; the walks that store them do.
 Solving, replay and strategy translation each take one ``ceiling``
@@ -70,6 +71,7 @@ the thief wins).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -175,10 +177,9 @@ class ReplayReport:
 
 
 class GameSpec(NamedTuple):
-    """How to build, solve and write one game of :data:`GAMES`."""
+    """How to build and write one game of :data:`GAMES`."""
 
     build: Callable[..., Any]  # (g, k) -> game instance
-    solve: Callable[..., GameResult]  # (g, k, ceiling=None) -> GameResult
     fields: tuple[str, ...]  # JSON field names of a position key, in key order
     #: position keys nest (the last component holds child keys), so each
     #: is written once into the certificate's ``table``
@@ -365,9 +366,8 @@ def _walk_strategy(game, positions: list, index: dict, cops: bytearray,
 
 def least_winning_k(g, game_id: str, ceiling: int | None = None) -> int:
     """Least ``k`` in ``0 .. g.n`` at which the cops win game ``game_id``."""
-    solve = GAMES[game_id].solve
     for k in range(g.n + 1):
-        if solve(g, k, ceiling).winner == COPS:
+        if solve_finite_game(make_game(g, game_id, k), ceiling).winner == COPS:
             return k
     raise AssertionError("cops always win once k covers every vertex")
 
@@ -597,8 +597,15 @@ def certificate_from_json(obj: dict) -> StrategyCertificate:
     if "table" in obj and not spec.tabled:
         raise ValueError(f"certificate JSON field 'table' does not belong to a {game_id!r} certificate")
     entry_keys: list = []
+    # how deeply each entry's key nests: hashing a key recurses in C once
+    # per level, unchecked, so a deep enough one overflows the stack
+    depths: list = []
     for row in _field(obj, "table", list) if spec.tabled else ():
         entry_keys.append(_from_json(row, spec.fields, entry_keys))
+        depths.append(1 + max((depths[i] for i in row[spec.fields[-1]]), default=0))
+        if depths[-1] > sys.getrecursionlimit():
+            raise ValueError(f"certificate JSON field {spec.fields[-1]!r} nests table entries "
+                             f"past the recursion limit of {sys.getrecursionlimit()}")
     moves = {}
     for entry in _field(obj, "moves", list):
         pos = _field(entry, "position", dict)

@@ -155,7 +155,7 @@ def parse_graph(text: str) -> Digraph:
 
 
 def load_graph(path: str | Path) -> Digraph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
 def format_edge_list(g: Digraph, comment: str | None = None) -> str:
@@ -170,4 +170,4 @@ def format_edge_list(g: Digraph, comment: str | None = None) -> str:
 
 
 def save_edge_list(g: Digraph, path: str | Path, comment: str | None = None) -> None:
-    Path(path).write_text(format_edge_list(g, comment))
+    Path(path).write_text(format_edge_list(g, comment), encoding="utf-8")

@@ -77,7 +77,6 @@ __all__ = [
     "RankDepthError",
     "RankCeilingError",
     "RankShrinkGame",
-    "solve_rank_game",
     "CPos",
     "ComebackGame",
     "solve_comeback_game",
@@ -428,11 +427,6 @@ class RankShrinkGame(ComebackGame):
         return (tuple(iter_mask(pos.mask)), pos.turn, pos.n)
 
 
-def solve_rank_game(g: Digraph, k: int, ceiling: int | None = None) -> GameResult:
-    """Winner and positional certificate of the shrinking game at ``k``."""
-    return solve_finite_game(RankShrinkGame(g, k), ceiling)
-
-
-GAMES["rank"] = GameSpec(RankShrinkGame, solve_rank_game, ("vertices", "turn", "counter"))
-GAMES["comeback"] = GameSpec(ComebackGame, solve_comeback_game,
-                             ("vertices", "turn", "counter", "comebacks"), tabled=True)
+GAMES["rank"] = GameSpec(RankShrinkGame, ("vertices", "turn", "counter"))
+GAMES["comeback"] = GameSpec(ComebackGame, ("vertices", "turn", "counter", "comebacks"),
+                             tabled=True)

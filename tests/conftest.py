@@ -3,8 +3,13 @@ acceptance-line reporter printed after the run summary."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import entrank
 from entrank.digraph import Digraph
 from entrank.muterm import Mu, Nu, Op, Subst, Term, Var
 
@@ -43,6 +48,18 @@ def random_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
 
 def dg(n: int, edges) -> Digraph:
     return Digraph(n, edges)
+
+
+def run_python(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` that imports this ``entrank``,
+    with ``env`` added to the environment; its output is text."""
+    child_env = dict(os.environ, **(env or {}))
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(entrank.__file__).resolve().parents[1]),
+                    child_env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=child_env)
 
 
 # ------------------------------------------------------------ random terms

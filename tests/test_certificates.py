@@ -11,7 +11,6 @@ from entrank.digraph import Digraph, iter_mask, mask_of
 from entrank.entgames import PursuitGame, entanglement, solve_pursuit
 from entrank.gamecore import (
     COPS,
-    GAMES,
     THIEF,
     GameResult,
     StrategyCertificate,
@@ -19,9 +18,10 @@ from entrank.gamecore import (
     certificate_to_json,
     least_winning_k,
     make_game,
+    solve_finite_game,
     verify_certificate,
 )
-from entrank.rank import rank, solve_comeback_game, solve_rank_game
+from entrank.rank import rank, solve_comeback_game
 from entrank.translate import translate_rank_strategy
 
 from conftest import dg, dicycle_edges, random_edges, ucycle_edges
@@ -31,7 +31,7 @@ ALL_GAMES = ("rank", "comeback", "ent", "et", "entv")
 
 
 def _solve(g, game_id, k):
-    return GAMES[game_id].solve(g, k)
+    return solve_finite_game(make_game(g, game_id, k))
 
 
 @pytest.mark.parametrize("game_id", ALL_GAMES)
@@ -78,7 +78,7 @@ def test_missing_move_is_detected():
 
 def test_illegal_move_is_detected():
     g = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-    cert = solve_rank_game(g, 2).certificate
+    cert = solve_finite_game(make_game(g, "rank", 2)).certificate
     moves = dict(cert.moves)
     key = next(iter(moves))
     moves[key] = ("remove", 99)

@@ -14,7 +14,8 @@ import pytest
 
 import entrank
 from entrank import cli
-from entrank.gamecore import GAMES
+
+from conftest import run_python
 
 
 @pytest.fixture
@@ -178,8 +179,8 @@ def _refuse(*args, **kwargs):
 )
 def test_unwritable_output_exits_2(run, dicycle_file, tmp_path, monkeypatch, argv):
     # the solvers and suites refuse to run: the path is checked first
-    monkeypatch.setitem(GAMES, "rank", GAMES["rank"]._replace(solve=_refuse))
-    for name in ("rank", "solve_comeback_game", "run_equivalence_suite", "generate_corpus"):
+    for name in ("solve_finite_game", "rank", "solve_comeback_game", "run_equivalence_suite",
+                 "generate_corpus"):
         monkeypatch.setattr(cli, name, _refuse)
     missing = tmp_path / "missing" / "dir"
     rc, _, err = run(*(a.format(graph=dicycle_file, missing=missing) for a in argv))
@@ -550,6 +551,25 @@ def test_replay_bad_input_exits_2(run, dicycle_file, tmp_path, text, message):
     assert "Traceback" not in err
 
 
+def test_replay_refuses_a_table_nested_too_deep(dicycle_file, tmp_path):
+    # each of 100,000 comeback entries names the one before it; hashing a
+    # key that deep used to overflow the C stack (exit 139), so the
+    # decoder refuses a table nested past the recursion limit
+    depth = 100_000
+    rows = ",".join(
+        '{"vertices": [0, 1, 2], "turn": "cops", "counter": 1, "comebacks": [%s]}'
+        % (i - 1 if i else "") for i in range(depth)
+    )
+    cert = tmp_path / "deep.json"
+    cert.write_text('{"game": "comeback", "k": 1, "winner": "cops", "table": [%s], '
+                    '"moves": [{"position": {"ref": %d}, "move": {"remove": 0}}]}'
+                    % (rows, depth - 1))
+    proc = run_python("-m", "entrank", "replay", dicycle_file, str(cert))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: bad certificate ") and proc.stderr.count("\n") == 1
+    assert "'comebacks'" in proc.stderr
+
+
 def test_replay_bad_graph_exits_2(run, tmp_path):
     cert = tmp_path / "cert.json"
     cert.write_text('{"game": "ent", "k": 0, "winner": "cops", "moves": []}')
@@ -618,13 +638,6 @@ def test_huge_vertex_count_exits_2_under_a_memory_limit(tmp_path, text):
         "from entrank.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(entrank.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "measure", str(graph)],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = run_python("-c", child, "measure", str(graph))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: cannot load graph {str(graph)!r}: out of memory\n"

@@ -104,6 +104,15 @@ def test_variants_agree_with_each_other():
         assert least_winning_k(g, "entv") == e
 
 
+def test_entanglement_is_the_least_winning_k_of_ent():
+    # ``entanglement`` keeps its own least-k loop beside ``least_winning_k``
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randrange(7)
+        g = dg(n, random_edges(n, 0.35, rng))
+        assert entanglement(g) == least_winning_k(g, "ent")
+
+
 def test_more_cops_never_hurt():
     rng = random.Random(47)
     for _ in range(20):

@@ -7,7 +7,16 @@ import random
 import pytest
 
 from entrank.digraph import iter_mask
-from entrank.gamecore import COPS, GAMES, THIEF, ArenaCeilingError, make_game, verify_certificate
+from entrank.gamecore import (
+    COPS,
+    GAMES,
+    THIEF,
+    ArenaCeilingError,
+    least_winning_k,
+    make_game,
+    solve_finite_game,
+    verify_certificate,
+)
 
 from conftest import clique_edges, dg, random_edges
 
@@ -50,6 +59,8 @@ def test_game_table_builds_every_game_id():
         assert make_game(g, game_id, 0).game_id == game_id
     with pytest.raises(ValueError, match="unknown game id 'nope'"):
         make_game(g, "nope", 0)
+    with pytest.raises(ValueError, match="unknown game id 'nope'"):
+        least_winning_k(g, "nope")
 
 
 @pytest.mark.parametrize("game_id", ("rank", "comeback", "ent", "et", "entv"))
@@ -178,19 +189,21 @@ def test_solving_and_replay_count_positions_against_the_ceiling(game_id):
     # where the cops win.
     g = dg(4, clique_edges(4))
     for k in (2, 3, 4):  # thief wins at 2, cops wins at 3 and 4
-        cert = GAMES[game_id].solve(g, k).certificate
+        def solve(ceiling=None):
+            return solve_finite_game(make_game(g, game_id, k), ceiling)
+
+        cert = solve().certificate
         reachable = sum(1 for _ in _reachable(make_game(g, game_id, k)))
-        for walk in (lambda c: GAMES[game_id].solve(g, k, c),
-                     lambda c: verify_certificate(g, game_id, k, cert, ceiling=c)):
+        for walk in (solve, lambda c: verify_certificate(g, game_id, k, cert, ceiling=c)):
             with pytest.raises(ArenaCeilingError) as exc:
                 walk(1)
             assert (exc.value.game_id, exc.value.limit) == (game_id, 1)
-        assert GAMES[game_id].solve(g, k, reachable).winner == cert.winner
+        assert solve(reachable).winner == cert.winner
         assert verify_certificate(g, game_id, k, cert, ceiling=reachable).ok
-        least = _least_ceiling(lambda c: GAMES[game_id].solve(g, k, c), reachable)
-        assert GAMES[game_id].solve(g, k, least).winner == cert.winner
+        least = _least_ceiling(solve, reachable)
+        assert solve(least).winner == cert.winner
         assert least <= reachable
         if k > 2 and game_id in ("ent", "et", "entv"):
             assert least < reachable
         with pytest.raises(ArenaCeilingError):
-            GAMES[game_id].solve(g, k, least - 1)
+            solve(least - 1)

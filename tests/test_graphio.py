@@ -15,7 +15,7 @@ from entrank.graphio import (
     save_edge_list,
 )
 
-from conftest import random_edges
+from conftest import random_edges, run_python
 
 
 def test_edge_list_basic():
@@ -126,3 +126,22 @@ def test_format_edge_list_comment():
     text = format_edge_list(g, comment="hello")
     assert text.startswith("# hello\n2\n")
     assert parse_edge_list(text).edges == g.edges
+
+
+def test_graph_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale the default text encoding is ASCII
+    src = tmp_path / "in.edges"
+    src.write_bytes("# café\n2\n0 1\n".encode("utf-8"))
+    out = tmp_path / "out.edges"
+    child = (
+        "import sys\n"
+        "from entrank.graphio import load_graph, save_edge_list\n"
+        "g = load_graph(sys.argv[1])\n"
+        # escaped: the C locale cannot decode a non-ASCII command line
+        "save_edge_list(g, sys.argv[2], comment='caf\\u00e9')\n"
+        "assert load_graph(sys.argv[2]) == g\n"
+    )
+    proc = run_python("-c", child, str(src), str(out),
+                      env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == "# café\n2\n0 1\n".encode("utf-8")

@@ -13,8 +13,8 @@ import json
 from entrank import cli
 from entrank.digraph import Digraph
 from entrank.entgames import solve_pursuit
-from entrank.gamecore import certificate_to_json
-from entrank.rank import solve_comeback_game, solve_rank_game
+from entrank.gamecore import certificate_to_json, make_game, solve_finite_game
+from entrank.rank import solve_comeback_game
 from entrank.translate import translate_rank_strategy
 
 from test_translate import DOOR_CROSSING
@@ -65,7 +65,7 @@ def test_reports_and_certificates_keep_their_bytes(tmp_path):
 
     got = {}
     for k in (0, 1, 2):
-        got["rank", k] = _cert_sha(solve_rank_game(GRAPH, k).certificate)
+        got["rank", k] = _cert_sha(solve_finite_game(make_game(GRAPH, "rank", k)).certificate)
         got["comeback", k] = _cert_sha(solve_comeback_game(GRAPH, k).certificate)
         for variant in ("ent", "et", "entv"):
             got[variant, k] = _cert_sha(solve_pursuit(GRAPH, k, variant).certificate)

@@ -5,14 +5,15 @@ import random
 import pytest
 
 from entrank.digraph import Digraph
-from entrank.gamecore import ArenaCeilingError, COPS, THIEF, least_winning_k
-from entrank.rank import (
-    ComebackGame,
-    RankShrinkGame,
-    rank,
-    solve_comeback_game,
-    solve_rank_game,
+from entrank.gamecore import (
+    ArenaCeilingError,
+    COPS,
+    THIEF,
+    least_winning_k,
+    make_game,
+    solve_finite_game,
 )
+from entrank.rank import ComebackGame, RankShrinkGame, rank, solve_comeback_game
 
 from conftest import clique_edges, dg, dicycle_edges, random_edges, upath_edges
 from oracles import comeback_thief_wins, rank_value, shrink_thief_wins
@@ -42,7 +43,7 @@ def test_shrink_winners_match_oracle_at_each_k():
         edges = random_edges(n, 0.4, rng)
         g = dg(n, edges)
         for k in range(n + 1):
-            res = solve_rank_game(g, k)
+            res = solve_finite_game(make_game(g, "rank", k))
             expect = THIEF if shrink_thief_wins(n, tuple(edges), k) else COPS
             assert res.winner == expect, (n, edges, k)
 
@@ -196,13 +197,13 @@ def test_shrink_game_records_nothing():
                         todo.append(q)
 
 
-@pytest.mark.parametrize("solve", [solve_rank_game, solve_comeback_game])
-def test_thief_enters_the_lowest_winning_component(solve):
+@pytest.mark.parametrize("game_id", ["rank", "comeback"])
+def test_thief_enters_the_lowest_winning_component(game_id):
     # two disjoint 3-cliques, rank 2: at k = 1 either one wins for the
     # thief, and the certificate records the lower one, as successors
     # list components by smallest member
     g = Digraph(6, [(a + s, b + s) for s in (0, 3) for a, b in clique_edges(3)])
-    res = solve(g, 1)
+    res = solve_finite_game(make_game(g, game_id, 1))
     assert res.winner == THIEF
     first = [mk for key, mk in res.certificate.moves.items() if key[0] == tuple(range(6))]
     assert first == [("enter", (0, 1, 2))]
