@@ -2,13 +2,16 @@
 
 Subcommands::
 
-    measure <graph-file> [--rank] [--ent] [--all] [--ceiling N]
-    game {rank|ent} <graph-file> -k K [--variant ...] [--cert out.json] [--ceiling N]
+    measure <graph-file> [--rank] [--ent] [--ceiling N]
+    game ID <graph-file> -k K [--cert out.json] [--ceiling N]
     verify {theorem|equiv} (--corpus SPEC | files ...) [--json [PATH]] [--ceiling N]
-    gen (--corpus SPEC | corpus flags) -o DIR
+    gen --corpus SPEC -o DIR
     muterm analyze <term-file> [--ceiling N]
     translate <graph-file> [-k K] [--cert out.json] [--ceiling N]
     replay <graph-file> <cert.json> [--ceiling N]
+
+``ID`` is a game id of ``gamecore.GAMES`` (``rank``, ``comeback``,
+``ent``, ``et``, ``entv``), the id a certificate records.
 
 Exit status: 0 when the requested work succeeded with zero violations,
 1 when a verification suite or translation reported violations or a
@@ -29,10 +32,11 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import FAMILIES, CorpusSpec, generate_corpus
-from .entgames import VARIANTS, entanglement
+from .corpus import CorpusSpec, generate_corpus
+from .entgames import entanglement
 from .gamecore import (
     COPS,
+    GAMES,
     ArenaCeilingError,
     StrategyCertificate,
     certificate_from_json,
@@ -100,34 +104,22 @@ def _write_certificate(path: str, cert: StrategyCertificate) -> None:
 
 def cmd_measure(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    want_rank = args.rank or args.all or not (args.rank or args.ent)
-    want_ent = args.ent or args.all or not (args.rank or args.ent)
-    if want_rank:
+    both = not (args.rank or args.ent)
+    if args.rank or both:
         print(f"rank: {rank(g, args.ceiling)}")
-    if want_ent:
+    if args.ent or both:
         print(f"entanglement: {entanglement(g, args.ceiling)}")
     return EXIT_OK
 
 
-_GAME_VARIANTS = {"rank": ("shrink", "comeback"), "ent": VARIANTS}
-
-
 def cmd_game(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    variant = args.variant or _GAME_VARIANTS[args.game][0]
-    if variant not in _GAME_VARIANTS[args.game]:
-        raise SystemExit(
-            f"error: variant {variant!r} does not belong to game {args.game!r} "
-            f"(choose from {', '.join(_GAME_VARIANTS[args.game])})"
-        )
     _check_writable(args.cert, "certificate")
     try:
-        # the CLI's ``shrink`` variant is the game id ``rank``
-        game = make_game(g, "rank" if variant == "shrink" else variant, args.k)
-        result = solve_finite_game(game, args.ceiling)
+        result = solve_finite_game(make_game(g, args.game, args.k), args.ceiling)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    print(f"game: {variant}  k: {args.k}  winner: {result.winner}")
+    print(f"game: {args.game}  k: {args.k}  winner: {result.winner}")
     if args.cert:
         _write_certificate(args.cert, result.certificate)
         print(f"certificate written to {args.cert}")
@@ -176,15 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
-        if args.corpus:
-            spec = CorpusSpec.parse(args.corpus)
-        elif args.family:
-            spec = CorpusSpec(mode="family", name=args.family, size=args.size)
-        else:
-            spec = CorpusSpec(
-                mode="random", n=args.n, p=args.p, seed=args.seed, count=args.count
-            )
-        spec.validate()
+        spec = CorpusSpec.parse(args.corpus)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     out = Path(args.output)
@@ -292,22 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("measure", help="compute rank and/or entanglement of a graph")
+    p = sub.add_parser(
+        "measure", help="compute rank and/or entanglement of a graph (both by default)"
+    )
     p.add_argument("graph", help="edge-list or DOT file")
     p.add_argument("--rank", action="store_true", help="print the rank")
     p.add_argument("--ent", action="store_true", help="print the entanglement")
-    p.add_argument("--all", action="store_true", help="print both (default)")
     _add_ceiling(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("game", help="solve one game instance at a fixed k")
-    p.add_argument("game", choices=("rank", "ent"))
+    p.add_argument("game", choices=GAMES, help="game id, as in a certificate's \"game\" field")
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True, help="cop / deletion budget")
-    p.add_argument(
-        "--variant",
-        help="rank: shrink (default) or comeback; ent: ent (default), et or entv",
-    )
     p.add_argument("--cert", metavar="OUT.json", help="write the strategy certificate")
     _add_ceiling(p)
     p.set_defaults(func=cmd_game)
@@ -333,13 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="write a corpus to a directory of edge-list files")
-    p.add_argument("--corpus", help="full corpus spec string")
-    p.add_argument("--family", choices=sorted(FAMILIES), help="family corpus")
-    p.add_argument("--size", type=int, default=4, help="family size")
-    p.add_argument("--n", type=int, default=5, help="random: vertex count")
-    p.add_argument("--p", type=float, default=0.3, help="random: edge probability")
-    p.add_argument("--seed", type=int, default=0, help="random: seed")
-    p.add_argument("--count", type=int, default=10, help="random: number of graphs")
+    p.add_argument(
+        "--corpus", required=True, help='e.g. "random:n=6,p=0.3,seed=42,count=100"'
+    )
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 

@@ -109,7 +109,7 @@ def parse_dot(text: str) -> Digraph:
     if not toks or toks[0] != "digraph":
         raise GraphFormatError("DOT input must start with 'digraph'")
     i = 1
-    if i < len(toks) and toks[i] not in "{":
+    if i < len(toks) and (toks[i].isdigit() or toks[i].isidentifier()):
         i += 1  # optional graph name
     if i >= len(toks) or toks[i] != "{":
         raise GraphFormatError("expected '{' after 'digraph'")

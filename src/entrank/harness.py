@@ -313,9 +313,11 @@ def _check_counts(jobs: int, ceiling: int | None) -> None:
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list[ReportRecord]:
-    if jobs <= 1:
+    # a fork-started pool forks all its workers at the first submit
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 

@@ -56,7 +56,7 @@ def test_measure_single_flags(run, upath_file):
 
 
 def test_measure_reads_dot(run, upath_file):
-    rc, out, _ = run("measure", upath_file, "--all")
+    rc, out, _ = run("measure", upath_file, "--rank", "--ent")
     assert rc == 0
     assert "rank: 2" in out and "entanglement: 2" in out
 
@@ -79,21 +79,15 @@ def test_game_default_variants(run, dicycle_file):
     rc, out, _ = run("game", "ent", dicycle_file, "-k", "1")
     assert rc == 0 and out == "game: ent  k: 1  winner: cops\n"
     rc, out, _ = run("game", "rank", dicycle_file, "-k", "0")
-    assert rc == 0 and out == "game: shrink  k: 0  winner: thief\n"
+    assert rc == 0 and out == "game: rank  k: 0  winner: thief\n"
 
 
 def test_game_explicit_variants(run, dicycle_file):
-    for variant in ("et", "entv"):
-        rc, out, _ = run("game", "ent", dicycle_file, "-k", "1", "--variant", variant)
-        assert rc == 0 and f"game: {variant}" in out and "cops" in out
-    rc, out, _ = run("game", "rank", dicycle_file, "-k", "1", "--variant", "comeback")
+    for game_id in ("et", "entv"):
+        rc, out, _ = run("game", game_id, dicycle_file, "-k", "1")
+        assert rc == 0 and f"game: {game_id}" in out and "cops" in out
+    rc, out, _ = run("game", "comeback", dicycle_file, "-k", "1")
     assert rc == 0 and "winner: cops" in out
-
-
-def test_game_variant_mismatch(run, dicycle_file):
-    rc, _, err = run("game", "rank", dicycle_file, "-k", "1", "--variant", "entv")
-    assert rc == 2
-    assert "does not belong" in err
 
 
 def test_game_bad_budget(run, dicycle_file):
@@ -173,7 +167,7 @@ def _refuse(*args, **kwargs):
         ("game", "rank", "{graph}", "-k", "1", "--cert", "{missing}/x.json"),
         ("translate", "{graph}", "--cert", "{missing}/x.json"),
         ("verify", "equiv", "{graph}", "--json", "{missing}/r.json"),
-        ("gen", "--family", "clique", "--size", "3", "--output", "{graph}"),
+        ("gen", "--corpus", "family:name=clique,size=3", "--output", "{graph}"),
     ],
     ids=["game-cert", "translate-cert", "verify-json", "gen-onto-a-file"],
 )
@@ -187,6 +181,27 @@ def test_unwritable_output_exits_2(run, dicycle_file, tmp_path, monkeypatch, arg
     assert rc == 2
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert not missing.exists()
+
+
+def test_old_spellings_are_usage_errors(run, dicycle_file, tmp_path, monkeypatch, capsys):
+    # each input has one spelling: the CLI's own game names and corpus
+    # flags are gone, and refused before any work starts
+    for name in ("solve_finite_game", "rank", "entanglement", "generate_corpus"):
+        monkeypatch.setattr(cli, name, _refuse)
+    out_dir = tmp_path / "corpus"
+    for argv in (
+        ("game", "shrink", dicycle_file, "-k", "1"),
+        ("game", "rank", dicycle_file, "-k", "1", "--variant", "comeback"),
+        ("gen", "--family", "clique", "--size", "3", "-o", str(out_dir)),
+        ("gen", "-o", str(out_dir)),
+        ("measure", dicycle_file, "--all"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: entrank ") and ": error: " in err, argv
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -232,7 +247,7 @@ def test_gen_writes_corpus(run, tmp_path):
 
 def test_gen_family_flags(run, tmp_path):
     out_dir = tmp_path / "fam"
-    rc, out, _ = run("gen", "--family", "ucycle", "--size", "4", "-o", str(out_dir))
+    rc, out, _ = run("gen", "--corpus", "family:name=ucycle,size=4", "-o", str(out_dir))
     assert rc == 0
     assert [p.name for p in sorted(out_dir.iterdir())] == ["0000-ucycle-4.edges"]
 
@@ -367,10 +382,11 @@ def test_muterm_analyze_rank_depth_exits_2(run, tmp_path, monkeypatch):
 def test_verify_rank_ceiling_is_a_skip(run, upath_file, suite, jobs):
     # --ceiling also caps the rank memo; in worker processes too, the
     # ceiling becomes a per-graph skip rather than a lost report
-    rc, out, err = run("verify", suite, upath_file, "--ceiling", "1", "--jobs", jobs)
+    # (two graphs, so that --jobs 2 starts a pool)
+    rc, out, err = run("verify", suite, upath_file, upath_file, "--ceiling", "1", "--jobs", jobs)
     assert rc == 0 and "Traceback" not in err
-    assert "skip upath4.dot: rank memo exceeded 1 entries\n" in out
-    assert "(1 graphs, 0 violations, 1 skips," in out
+    assert out.count("skip upath4.dot: rank memo exceeded 1 entries\n") == 2
+    assert "(2 graphs, 0 violations, 2 skips," in out
 
 
 def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):
@@ -386,9 +402,9 @@ def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):
     (("measure", "{graph}", "--ent"), "error: ent arena exceeded the position ceiling of 1\n"),
     (("translate", "{graph}", "-k", "2"), "error: comeback arena exceeded the position ceiling of 1\n"),
     (("muterm", "analyze", "{term}"), "error: rank memo exceeded the entry ceiling of 1\n"),
-    (("game", "ent", "{graph}", "-k", "2", "--variant", "et"),
+    (("game", "et", "{graph}", "-k", "2"),
      "error: et arena exceeded the position ceiling of 1\n"),
-    (("game", "rank", "{graph}", "-k", "2", "--variant", "comeback"),
+    (("game", "comeback", "{graph}", "-k", "2"),
      "error: comeback arena exceeded the position ceiling of 1\n"),
 ])
 def test_ceiling_flag_exits_2(run, upath_file, tmp_path, argv, err):
@@ -497,9 +513,9 @@ def test_installed_console_script():
 
 
 @pytest.mark.parametrize("argv", [
-    ("game", "ent", "-k", "1", "--variant", "entv"),
+    ("game", "entv", "-k", "1"),
     ("game", "ent", "-k", "0"),
-    ("game", "rank", "-k", "1", "--variant", "comeback"),
+    ("game", "comeback", "-k", "1"),
     ("translate",),
 ])
 def test_replay_accepts_written_certificates(run, dicycle_file, tmp_path, argv):
@@ -583,7 +599,7 @@ def test_replay_bad_graph_exits_2(run, tmp_path):
 
 def test_replay_ceiling_exits_2(run, dicycle_file, tmp_path, monkeypatch):
     cert = str(tmp_path / "cert.json")
-    run("game", "rank", dicycle_file, "-k", "1", "--variant", "comeback", "--cert", cert)
+    run("game", "comeback", dicycle_file, "-k", "1", "--cert", cert)
     want = (2, "", "error: comeback arena exceeded the position ceiling of 1\n")
     assert run("replay", dicycle_file, cert, "--ceiling", "1") == want
     assert run("replay", dicycle_file, cert, "--ceiling", "100") == (0, "ok\n", "")
@@ -592,12 +608,11 @@ def test_replay_ceiling_exits_2(run, dicycle_file, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("game_id, argv", (("rank", ("rank",)), ("ent", ("ent",)),
-                                           ("et", ("ent", "--variant", "et")),
-                                           ("entv", ("ent", "--variant", "entv"))))
+                                           ("et", ("et",)), ("entv", ("entv",))))
 def test_replay_ceiling_exits_2_for_every_game(run, dicycle_file, tmp_path, monkeypatch,
                                                game_id, argv):
     cert = str(tmp_path / "cert.json")
-    assert run("game", argv[0], dicycle_file, "-k", "1", *argv[1:], "--cert", cert)[0] == 0
+    assert run("game", *argv, dicycle_file, "-k", "1", "--cert", cert)[0] == 0
     want = (2, "", f"error: {game_id} arena exceeded the position ceiling of 1\n")
     assert run("replay", dicycle_file, cert, "--ceiling", "1") == want
     assert run("replay", dicycle_file, cert, "--ceiling", "100") == (0, "ok\n", "")

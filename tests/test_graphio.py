@@ -62,6 +62,9 @@ def test_dot_basic():
     g = parse_dot("digraph { 0 -> 1; 1 -> 2; }")
     assert g.n == 3
     assert sorted(g.edges) == [(0, 1), (1, 2)]
+    # the optional graph name is an identifier or a numeral
+    for header in ("digraph g {", "digraph 7 {"):
+        assert sorted(parse_dot(header + " 0 -> 1; 1 -> 2; }").edges) == [(0, 1), (1, 2)]
 
 
 def test_dot_chains_names_comments():
@@ -99,6 +102,9 @@ def test_dot_errors():
         parse_dot("digraph { a -> b; }")  # named nodes unsupported
     with pytest.raises(GraphFormatError):
         parse_dot("digraph { 0 -> 1; } trailing!")
+    for name in ("->", ";", "}"):  # punctuation is not a graph name
+        with pytest.raises(GraphFormatError, match="expected '{' after 'digraph'"):
+            parse_dot(f"digraph {name} {{ 0 -> 1 }}")
 
 
 def test_parse_graph_sniffs_format():

@@ -160,6 +160,32 @@ def test_parallel_equals_serial():
         assert rep1.to_json() == rep2.to_json(), suite.__name__
 
 
+def test_pool_is_never_larger_than_the_task_count(monkeypatch):
+    # a fork-started pool forks every worker at once: record the size asked
+    # for instead of starting any process
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+    g = dg(3, ucycle_edges(3))
+    for suite in (run_theorem_suite, run_equivalence_suite):
+        assert suite([("a", g), ("b", g)], jobs=10**6).checked == 2
+        assert suite([("a", g)], jobs=10**6).checked == 1
+    assert asked == [2, 2]
+
+
 def test_planted_violation_is_reported(monkeypatch):
     # force the rank engine to lie so the theorem check must fire
     monkeypatch.setattr(harness, "rank", lambda g, ceiling=None: -1)
