@@ -35,7 +35,6 @@ from pathlib import Path
 from .corpus import CorpusSpec, generate_corpus
 from .entgames import entanglement
 from .gamecore import (
-    COPS,
     GAMES,
     ArenaCeilingError,
     StrategyCertificate,
@@ -46,10 +45,14 @@ from .gamecore import (
     verify_certificate,
 )
 from .graphio import GraphFormatError, parse_graph, save_edge_list
-from .harness import VerificationReport, run_equivalence_suite, run_theorem_suite
+from .harness import (
+    ReportRecord,
+    run_equivalence_suite,
+    run_theorem_suite,
+    translate_and_verify,
+)
 from .muterm import ParseError, analyze, parse as parse_term
-from .rank import RankDepthError, rank, solve_comeback_game
-from .translate import TranslationError, translate_rank_strategy
+from .rank import RankDepthError, rank
 
 __all__ = ["main", "build_parser"]
 
@@ -196,29 +199,16 @@ def cmd_muterm(args: argparse.Namespace) -> int:
 def cmd_translate(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     _check_writable(args.cert, "certificate")
-    try:
-        k = args.k if args.k is not None else rank(g, args.ceiling)
-        # the translated pursuit game has at most one cop per vertex
-        if not 0 <= k <= g.n:
-            raise ValueError(f"budget k={k} must satisfy 0 <= k <= {g.n}, the vertex count")
-        res = solve_comeback_game(g, k, args.ceiling)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    if res.winner != COPS:
-        print(f"thief wins the comeback game at k={k}; nothing to translate")
-        return EXIT_VIOLATIONS
-    step = "translation"
-    try:
-        cert = translate_rank_strategy(g, res.certificate, args.ceiling)
-        step = "replay of the translated certificate"
-        replay = verify_certificate(g, "entv", k, cert, args.ceiling)
-    except ArenaCeilingError as exc:
-        raise SystemExit(f"error: {step} at k={k} exceeded the position ceiling of {exc.limit}")
-    except TranslationError as exc:
-        print(f"FAIL translation at k={k}: {exc}")
-        return EXIT_VIOLATIONS
-    if not replay.ok:
-        print(f"FAIL translated certificate rejected at k={k}: {replay.reason}")
+    k = args.k if args.k is not None else rank(g, args.ceiling)
+    # the translated pursuit game has at most one cop per vertex
+    if not 0 <= k <= g.n:
+        raise SystemExit(f"error: budget k={k} must satisfy 0 <= k <= {g.n}, the vertex count")
+    rec = ReportRecord(args.graph, g.n, [])
+    cert = translate_and_verify(g, k, rec, args.ceiling)
+    if rec.skips:
+        raise SystemExit(f"error: {rec.skips[0]}")
+    if cert is None:
+        print(f"FAIL {rec.failures[0]}")
         return EXIT_VIOLATIONS
     print(
         f"comeback certificate at k={k} translated to a virtual-cop pursuit "

@@ -10,9 +10,9 @@ Two text formats are accepted:
   optional, ``//`` and ``#`` line comments are ignored.  The vertex
   count is inferred as ``max mentioned id + 1`` (0 for an empty body).
 
-``load_graph``/``parse_graph`` sniff the format: input whose first
-meaningful token is ``digraph`` is parsed as DOT, anything else as an
-edge list.
+``load_graph``/``parse_graph`` sniff the format: input whose first line
+that is not blank or a ``#`` or ``//`` comment starts with ``digraph``
+is parsed as DOT, anything else as an edge list.
 """
 
 from __future__ import annotations
@@ -141,16 +141,16 @@ def parse_dot(text: str) -> Digraph:
             i += 1
     if i >= len(toks) or toks[i] != "}":
         raise GraphFormatError("unterminated DOT body: missing '}'")
+    if i + 1 < len(toks):
+        raise GraphFormatError(f"unexpected DOT input after '}}': {toks[i + 1]!r}")
     n = max(mentioned) + 1 if mentioned else 0
     return Digraph(n, sorted(edges))
 
 
 def parse_graph(text: str) -> Digraph:
-    for _, line in _meaningful_lines(text):
-        first = line.split(None, 1)[0]
-        if first.startswith("digraph"):
-            return parse_dot(text)
-        break
+    lines = (line for _, line in _meaningful_lines(text) if not line.startswith("//"))
+    if next(lines, "").startswith("digraph"):
+        return parse_dot(text)
     return parse_edge_list(text)
 
 

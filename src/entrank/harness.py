@@ -3,16 +3,16 @@
 Two suites, both returning a :class:`VerificationReport`:
 
 * :func:`run_theorem_suite` — per graph, checks
-  ``entanglement(g) <= rank(g)``, and (optionally) translates a cops
-  certificate for the comeback game at ``k = rank(g)`` into a
-  virtual-cop pursuit certificate and replays it.
+  ``entanglement(g) <= rank(g)``, and (optionally) runs the theorem's
+  step at ``k = rank(g)`` with :func:`translate_and_verify`: a comeback
+  cops certificate translated into a virtual-cop pursuit certificate
+  and replayed.  ``entrank translate`` runs the same step.
 * :func:`run_equivalence_suite` — per graph, checks that the rank
   recursion, the shrinking game, and the comeback game agree on the
   minimal cop count, and that the three pursuit variants have the same
   winner at every ``k <= n``.  Each variant is solved up to its least
   winning ``k``; above it, its cops certificate from that ``k`` is
-  replayed with the larger budget, and solving resumes only if the
-  replay is rejected.
+  replayed with the larger budget, and a rejected replay is a failure.
 
 Suites parallelise across graphs only (``jobs``); per-graph work is
 sequential and results are merged in corpus order, so reports are a
@@ -20,9 +20,9 @@ deterministic function of the corpus spec.  ``ceiling`` caps the
 positions of every arena walk (solve, replay, translation) and the rank
 memo's entries; a tripped ceiling, or a rank recursion past the
 interpreter's recursion limit, becomes a *skip*, listed in the report
-rather than dropped (a lifted replay that trips it falls back to
-solving).  Every failure message embeds enough detail to replay it (the
-record carries the graph, the message carries ``k`` and the reason).
+rather than dropped.  Every failure message embeds enough detail to
+replay it (the record carries the graph, the message carries ``k`` and
+the reason).
 
 ``wall_time`` is kept on the report object for human display but is
 deliberately excluded from the JSON serialisation so that two runs over
@@ -55,6 +55,7 @@ __all__ = [
     "VerificationReport",
     "run_theorem_suite",
     "run_equivalence_suite",
+    "translate_and_verify",
     "SHRINK_GAME_MAX_N",
     "COMEBACK_GAME_MAX_N",
     "VARIANT_SWEEP_MAX_N",
@@ -182,35 +183,38 @@ def _theorem_worker(task) -> ReportRecord:
             f"entanglement {rec.entanglement} exceeds rank {rec.rank}"
         )
     if do_translate:
-        _translate_and_verify(g, rec, ceiling)
+        translate_and_verify(g, rec.rank, rec, ceiling)
     return rec
 
 
-def _translate_and_verify(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
-    k = rec.rank
+def translate_and_verify(g: Digraph, k: int, rec: ReportRecord,
+                         ceiling: int | None = None) -> StrategyCertificate | None:
+    """The theorem's step at budget ``k``: the comeback game's cops
+    certificate, translated to the virtual-cop game and replayed there.
+    Returns that certificate, or None after adding to ``rec`` one failure
+    (``certificate_ok`` False) or one skip naming the step that tripped."""
     step = "comeback arena"
     try:
         res = solve_comeback_game(g, k, ceiling=ceiling)
         if res.winner != COPS:
-            rec.certificate_ok = False
-            rec.failures.append(f"comeback game lost at k = rank = {k}")
-            return
-        step = "translation"
-        cert = translate_rank_strategy(g, res.certificate, ceiling)
-        step = "entv replay"
-        replay = verify_certificate(g, "entv", k, cert, ceiling=ceiling)
+            failure = f"comeback game lost at k={k}"
+        else:
+            step = "translation"
+            cert = translate_rank_strategy(g, res.certificate, ceiling)
+            step = "entv replay"
+            replay = verify_certificate(g, "entv", k, cert, ceiling=ceiling)
+            if replay.ok:
+                rec.certificate_ok = True
+                return cert
+            failure = f"translated certificate rejected at k={k}: {replay.reason}"
     except ArenaCeilingError as exc:
         rec.skips.append(f"{step} exceeded {exc.limit} positions at k={k}")
-        return
+        return None
     except TranslationError as exc:
-        rec.certificate_ok = False
-        rec.failures.append(f"strategy translation failed at k={k}: {exc}")
-        return
-    rec.certificate_ok = replay.ok
-    if not replay.ok:
-        rec.failures.append(
-            f"translated certificate rejected at k={k}: {replay.reason}"
-        )
+        failure = f"strategy translation failed at k={k}: {exc}"
+    rec.certificate_ok = False
+    rec.failures.append(failure)
+    return None
 
 
 def _equivalence_worker(task) -> ReportRecord:
@@ -249,18 +253,22 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
 
     Below a variant's least winning ``k`` every level is solved.  Above
     it the cops certificate from that least ``k`` is replayed with its
-    budget raised to ``k``: extra cops never hurt, since thief moves
-    depend only on the cop mask and every cop move legal with ``k``
-    cops stays legal with more.  A replay that ``verify_certificate``
-    accepts proves a cops win without building the arena; a rejected
-    one, or one that trips the ceiling, falls back to solving.  Only the
-    certificate of a variant's first cops win is read, so only that one
-    is walked; every other solve gives its winner alone.  Winner
-    agreement at each level is the strong form; the per-variant minimal
-    ``k`` values recorded on the way out follow from it.  A variant with
-    a skipped level below its first cops win has no known minimal ``k``
-    and records none: a solve at a larger ``k`` can store fewer positions
-    than one at a smaller ``k``, so the first win may lie above the least.
+    budget raised to ``k``, and that replay alone decides the level:
+    extra cops never hurt, since thief moves depend only on the cop mask
+    and every cop move legal with ``k`` cops stays legal with more.  A
+    replay that ``verify_certificate`` accepts proves a cops win without
+    building the arena; a rejected one is a failure naming both budgets.
+    The positions of a pursuit game do not depend on ``k``, so a lifted
+    replay meets exactly the positions of the certificate walk at the
+    first win, all stored by that solve under the same ceiling: it
+    cannot trip it.  Only the certificate of a variant's first cops win
+    is read, so only that one is walked; every other solve gives its
+    winner alone.  Winner agreement at each level is the strong form;
+    the per-variant minimal ``k`` values recorded on the way out follow
+    from it.  A variant with a skipped level below its first cops win
+    has no known minimal ``k`` and records none: a solve at a larger
+    ``k`` can store fewer positions than one at a smaller ``k``, so the
+    first win may lie above the least.
     """
     lift: dict[str, StrategyCertificate] = {}  # cops certificate at the least k
     unknown: set[str] = set()  # variants skipped below their first cops win
@@ -269,16 +277,16 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
         for variant in VARIANTS:
             cert = lift.get(variant)
             if cert is not None:
-                try:
-                    lifted = verify_certificate(
-                        g, variant, k, StrategyCertificate(variant, k, COPS, cert.moves),
-                        ceiling=ceiling,
-                    ).ok
-                except ArenaCeilingError:
-                    lifted = False
-                if lifted:
+                replay = verify_certificate(
+                    g, variant, k, StrategyCertificate(variant, k, COPS, cert.moves),
+                    ceiling=ceiling,
+                )
+                if replay.ok:
                     winners[variant] = COPS
-                    continue
+                else:
+                    rec.failures.append(f"{variant} certificate from k={cert.k} "
+                                        f"rejected at k={k}: {replay.reason}")
+                continue
             try:
                 res = solve_pursuit(g, k, variant, ceiling=ceiling)
             except ArenaCeilingError as exc:

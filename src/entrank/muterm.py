@@ -130,10 +130,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, signature: dict[str, int] | None):
+    def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
-        self.signature = signature
         self.seen_arities: dict[str, int] = {}
 
     def peek(self):
@@ -196,29 +195,17 @@ class _Parser:
                 self.i += 1
                 args.append(self.term())
         self.take(")")
-        self.check_operator(word, len(args), pos)
+        before = self.seen_arities.setdefault(word, len(args))
+        if before != len(args):
+            raise ParseError(
+                f"operator {word!r} used with {len(args)} arguments after {before}", pos
+            )
         return Op(word, tuple(args))
 
-    def check_operator(self, symbol: str, arity: int, pos: int) -> None:
-        if self.signature is not None:
-            want = self.signature.get(symbol)
-            if want is None:
-                raise ParseError(f"unknown operator {symbol!r}", pos)
-            if want != arity:
-                raise ParseError(
-                    f"operator {symbol!r} expects {want} arguments, got {arity}", pos
-                )
-            return
-        before = self.seen_arities.setdefault(symbol, arity)
-        if before != arity:
-            raise ParseError(
-                f"operator {symbol!r} used with {arity} arguments after {before}", pos
-            )
 
-
-def parse(text: str, signature: dict[str, int] | None = None) -> Term:
-    """Parse ``text``; validate operator arities against ``signature`` if given."""
-    p = _Parser(text, signature)
+def parse(text: str) -> Term:
+    """Parse ``text``; each operator symbol must keep one arity throughout."""
+    p = _Parser(text)
     try:
         t = p.term()
     except RecursionError:

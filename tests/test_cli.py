@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import entrank
-from entrank import cli
+from entrank import cli, harness
+from entrank.gamecore import ReplayReport
+from entrank.translate import TranslationError
 
 from conftest import run_python
 
@@ -173,7 +175,7 @@ def _refuse(*args, **kwargs):
 )
 def test_unwritable_output_exits_2(run, dicycle_file, tmp_path, monkeypatch, argv):
     # the solvers and suites refuse to run: the path is checked first
-    for name in ("solve_finite_game", "rank", "solve_comeback_game", "run_equivalence_suite",
+    for name in ("solve_finite_game", "rank", "translate_and_verify", "run_equivalence_suite",
                  "generate_corpus"):
         monkeypatch.setattr(cli, name, _refuse)
     missing = tmp_path / "missing" / "dir"
@@ -286,7 +288,26 @@ def test_translate_roundtrip(run, dicycle_file, tmp_path):
 def test_translate_at_losing_budget(run, dicycle_file):
     rc, out, _ = run("translate", dicycle_file, "-k", "0")
     assert rc == 1
-    assert "thief wins" in out
+    assert "FAIL comeback game lost at k=0" in out
+
+
+def _fail_translation(*args, **kwargs):
+    raise TranslationError("x")
+
+
+@pytest.mark.parametrize("target, stub, failure", [
+    pytest.param("translate_rank_strategy", _fail_translation,
+                 "strategy translation failed at k=1: x", id="translation-failed"),
+    pytest.param("verify_certificate", lambda *args, **kwargs: ReplayReport(False, "y"),
+                 "translated certificate rejected at k=1: y", id="replay-rejected"),
+])
+def test_translate_reports_the_suite_failure(run, dicycle_file, tmp_path, monkeypatch,
+                                             target, stub, failure):
+    # translate runs the theorem suite's step and prints its failure as is
+    monkeypatch.setattr(harness, target, stub)
+    cert = tmp_path / "out.json"
+    assert run("translate", dicycle_file, "--cert", str(cert)) == (1, f"FAIL {failure}\n", "")
+    assert not cert.exists()
 
 
 def test_translate_bad_budget(run, dicycle_file):
@@ -296,7 +317,7 @@ def test_translate_bad_budget(run, dicycle_file):
 
 @pytest.mark.parametrize("ceiling, step", [
     pytest.param(5, "translation", id="5"),
-    pytest.param(12, "replay of the translated certificate", id="12"),
+    pytest.param(12, "entv replay", id="12"),
 ])
 def test_translate_ceiling_exits_2(run, dicycle_file, monkeypatch, ceiling, step):
     # the comeback game on dicycle-3 stores 3 positions, its translation
@@ -304,7 +325,7 @@ def test_translate_ceiling_exits_2(run, dicycle_file, monkeypatch, ceiling, step
     # stops the translation, one of 12 its replay -- a resource stop, not
     # a violation, and the error names the step that stopped; the same
     # ceiling given by --ceiling stops the same step
-    want = f"error: {step} at k=1 exceeded the position ceiling of {ceiling}\n"
+    want = f"error: {step} exceeded {ceiling} positions at k=1\n"
     assert run("translate", dicycle_file, "--ceiling", str(ceiling)) == (2, "", want)
     monkeypatch.setattr(importlib.import_module("entrank.gamecore"), "DEFAULT_POSITION_CEILING", ceiling)
     rc, out, err = run("translate", dicycle_file)
@@ -400,7 +421,7 @@ def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):
 @pytest.mark.parametrize("argv, err", [
     (("measure", "{graph}"), "error: rank memo exceeded the entry ceiling of 1\n"),
     (("measure", "{graph}", "--ent"), "error: ent arena exceeded the position ceiling of 1\n"),
-    (("translate", "{graph}", "-k", "2"), "error: comeback arena exceeded the position ceiling of 1\n"),
+    (("translate", "{graph}", "-k", "2"), "error: comeback arena exceeded 1 positions at k=2\n"),
     (("muterm", "analyze", "{term}"), "error: rank memo exceeded the entry ceiling of 1\n"),
     (("game", "et", "{graph}", "-k", "2"),
      "error: et arena exceeded the position ceiling of 1\n"),

@@ -105,6 +105,11 @@ def test_dot_errors():
     for name in ("->", ";", "}"):  # punctuation is not a graph name
         with pytest.raises(GraphFormatError, match="expected '{' after 'digraph'"):
             parse_dot(f"digraph {name} {{ 0 -> 1 }}")
+    for text in ("digraph { 0 -> 1 -> 0 } 5 -> 6", "digraph { 0 -> 1 }\ndigraph { 2 -> 3 }\n"):
+        with pytest.raises(GraphFormatError, match="unexpected DOT input after '}'"):
+            parse_dot(text)
+    # a comment after the body is not input
+    assert parse_dot("digraph { 0 -> 1 } // done\n# end\n").n == 2
 
 
 def test_parse_graph_sniffs_format():
@@ -112,6 +117,7 @@ def test_parse_graph_sniffs_format():
     assert parse_graph("2\n0 1\n").edge_count() == 1
     # comments before the first meaningful token do not confuse the sniffer
     assert parse_graph("# note\ndigraph { 0 -> 1; }").n == 2
+    assert parse_graph("// a triangle\ndigraph { 0 -> 1 -> 2 -> 0 }\n").edge_count() == 3
 
 
 def test_roundtrip_random(tmp_path):

@@ -106,7 +106,7 @@ def test_tripped_translation_or_replay_is_a_skip():
                            (12, ["entv replay exceeded 12 positions at k=1"]),
                            (13, [])):
         rec = ReportRecord("g", 3, [], rank=1)
-        harness._translate_and_verify(g, rec, ceiling)
+        harness.translate_and_verify(g, 1, rec, ceiling)
         assert rec.skips == skips and rec.failures == []
         assert rec.certificate_ok is (None if skips else True)
 
@@ -117,14 +117,14 @@ def _fail_translation(*args, **kwargs):
 
 @pytest.mark.parametrize("target, stub, failure", [
     pytest.param("solve_comeback_game", lambda *args, **kwargs: GameResult(THIEF),
-                 "comeback game lost at k = rank = 1", id="comeback-lost"),
+                 "comeback game lost at k=1", id="comeback-lost"),
     pytest.param("translate_rank_strategy", _fail_translation,
                  "strategy translation failed at k=1: x", id="translation-failed"),
 ])
 def test_lost_comeback_or_failed_translation_is_a_failure(monkeypatch, target, stub, failure):
     monkeypatch.setattr(harness, target, stub)
     rec = ReportRecord("g", 3, [], rank=1)
-    harness._translate_and_verify(dg(3, dicycle_edges(3)), rec, None)
+    harness.translate_and_verify(dg(3, dicycle_edges(3)), 1, rec, None)
     assert rec.failures == [failure] and rec.skips == []
     assert rec.certificate_ok is False
 
@@ -260,9 +260,8 @@ def test_lifted_verdicts_match_solving_every_k(g):
     )
 
 
-def test_rejected_lift_falls_back_to_solving(monkeypatch):
+def test_rejected_lift_is_a_failure_and_nothing_is_re_solved(monkeypatch):
     g = dg(5, ucycle_edges(5))
-    lifted = _sweep(g)
     asked, solved = [], []
     real_solve = harness.solve_pursuit
 
@@ -277,38 +276,48 @@ def test_rejected_lift_falls_back_to_solving(monkeypatch):
     monkeypatch.setattr(harness, "verify_certificate", reject)
     monkeypatch.setattr(harness, "solve_pursuit", count)
     rec = _sweep(g)
-    assert json.dumps(rec.to_obj()) == json.dumps(lifted.to_obj())
-    assert sorted(solved) == sorted((v, k) for v in VARIANTS for k in range(g.n + 1))
-    # every variant's least k on ucycle-5 is 3; each k above it was offered as a lift
+    # every variant's least k on ucycle-5 is 3; each k above it was
+    # offered as a lift, and no level above it was solved
     assert (rec.ent_k, rec.et_k, rec.entv_k) == (3, 3, 3)
     assert sorted(asked) == sorted((v, k) for v in VARIANTS for k in (4, 5))
+    assert sorted(solved) == sorted((v, k) for v in VARIANTS for k in range(4))
+    # one failure per lifted level, naming the variant, both budgets and
+    # the reason
+    assert rec.failures == [
+        f"{v} certificate from k=3 rejected at k={k}: rejected for the test"
+        for k in (4, 5) for v in VARIANTS
+    ]
+    assert rec.skips == []
 
 
-def test_tripped_lift_falls_back_to_solving(monkeypatch):
-    g = dg(5, ucycle_edges(5))
-    lifted = _sweep(g)
-    solved = []
-    real_solve = harness.solve_pursuit
-
-    def trip(g_, variant, k, cert, ceiling=None):
-        raise ArenaCeilingError(variant, 1)
-
-    def count(g_, k, variant, ceiling=None):
-        solved.append((variant, k))
-        return real_solve(g_, k, variant, ceiling=ceiling)
-
-    monkeypatch.setattr(harness, "verify_certificate", trip)
-    monkeypatch.setattr(harness, "solve_pursuit", count)
-    rec = _sweep(g)
-    assert json.dumps(rec.to_obj()) == json.dumps(lifted.to_obj())
-    assert sorted(solved) == sorted((v, k) for v in VARIANTS for k in range(g.n + 1))
+@given(sweep_graphs())
+@settings(max_examples=40, deadline=None)
+def test_lifted_replays_fit_the_ceiling_of_the_first_win(g):
+    # a pursuit position does not depend on k, so a lifted replay meets
+    # only positions that the solve at the first cops win stored: it fits
+    # the smallest ceiling that solve fits
+    for variant in VARIANTS:
+        least = gamecore.least_winning_k(g, variant)
+        lo, hi = 1, gamecore.DEFAULT_POSITION_CEILING
+        while lo < hi:  # the smallest ceiling the solve fits
+            mid = (lo + hi) // 2
+            try:
+                solve_pursuit(g, least, variant, ceiling=mid)
+            except ArenaCeilingError:
+                lo = mid + 1
+            else:
+                hi = mid
+        cert = solve_pursuit(g, least, variant, ceiling=lo).certificate
+        for k in range(least + 1, g.n + 1):
+            lifted = gamecore.StrategyCertificate(variant, k, COPS, cert.moves)
+            assert gamecore.verify_certificate(g, variant, k, lifted, ceiling=lo).ok
 
 
 @pytest.mark.parametrize("lifts", (True, False))
 def test_sweep_walks_only_first_cops_certificates(monkeypatch, lifts):
     # each variant's certificate is read once, at its first cops win, to
-    # be lifted; every other solve, rejected lifts' fallbacks included,
-    # gives its winner alone and walks nothing
+    # be lifted; every other solve gives its winner alone and walks
+    # nothing, and a rejected lift solves nothing
     g = dg(5, ucycle_edges(5))
     walked = []
     real_walk = gamecore._walk_strategy

@@ -65,20 +65,12 @@ def test_parse_errors_carry_offsets():
         ("", "unexpected end of input"),
         ("f(x,)", "expected a term"),
         ("x y", "trailing input"),
+        ("f(x, f(y))", "operator 'f' used with 2 arguments after 1"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError, match=re.escape(fragment)) as exc:
             parse(text)
         assert "offset" in str(exc.value)
-
-
-def test_signature_enforces_arity():
-    sig = {"f": 2, "g": 1, "a": 0}
-    parse("f(g(a()), a())", signature=sig)
-    with pytest.raises(ParseError, match="expects 2 arguments, got 1"):
-        parse("f(x)", signature=sig)
-    with pytest.raises(ParseError):
-        parse("g(x, y)", signature=sig)
 
 
 # --- free variables ---
