@@ -4,7 +4,8 @@ Subcommands::
 
     measure <graph-file> [--rank] [--ent] [--ceiling N]
     game ID <graph-file> -k K [--cert out.json] [--ceiling N]
-    verify {theorem|equiv} (--corpus SPEC | files ...) [--json [PATH]] [--ceiling N]
+    verify {theorem|equiv} (--corpus SPEC | files ...) [--json [PATH]] [--jobs N] [--ceiling N]
+    verify theorem ... [--translate]
     gen --corpus SPEC -o DIR
     muterm analyze <term-file> [--ceiling N]
     translate <graph-file> [-k K] [--cert out.json] [--ceiling N]
@@ -143,6 +144,8 @@ def _verify_corpus(args: argparse.Namespace):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.translate and args.suite != "theorem":
+        raise SystemExit("error: --translate applies only to verify theorem")
     corpus = _verify_corpus(args)
     if args.json != "-":
         _check_writable(args.json, "report")
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--translate",
         action="store_true",
-        help="theorem suite: also translate and replay strategy certificates",
+        help="theorem suite only: also translate and replay strategy certificates",
     )
     p.add_argument("--jobs", type=_at_least_one, default=1, help="parallel worker processes")
     _add_ceiling(p)

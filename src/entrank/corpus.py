@@ -29,8 +29,6 @@ def _dipath(size: int) -> Digraph:
 
 
 def _dicycle(size: int) -> Digraph:
-    if size == 1:
-        return Digraph(1, [(0, 0)])
     return Digraph(size, [(i, (i + 1) % size) for i in range(size)])
 
 
@@ -43,8 +41,6 @@ def _upath(size: int) -> Digraph:
 
 
 def _ucycle(size: int) -> Digraph:
-    if size == 1:
-        return Digraph(1, [(0, 0)])
     edges = set()
     for i in range(size):
         j = (i + 1) % size

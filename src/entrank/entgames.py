@@ -30,7 +30,8 @@ from __future__ import annotations
 from functools import partial
 
 from .digraph import Digraph, iter_mask, mask_of
-from .gamecore import COPS, THIEF, GAMES, GameResult, GameSpec, solve_finite_game
+from .gamecore import (COPS, THIEF, GAMES, GameResult, GameSpec, play_by_successors,
+                       solve_finite_game)
 
 __all__ = [
     "VARIANTS",
@@ -192,34 +193,26 @@ class PursuitGame:
     def play(self, pos, mk):
         """The successor of ``pos`` that move key ``mk`` names, or ``None``.
 
-        The key is decoded into a position that must be legal and that
-        ``move_key`` must name by ``mk`` itself, so unsorted or
-        duplicated vertex tuples are refused.  A start or thief move is
-        looked up among the few ``successors``; a cops move is decided
-        by ``_cops_move_legal`` alone, since ``cop_configs`` enumerates
-        every cops move in the solver's order and replay needs just one.
+        A start or thief move is looked up among the few ``successors``
+        by :func:`.gamecore.play_by_successors`.  A cops move is decoded
+        into a position that ``_cops_move_legal`` must allow and that
+        ``move_key`` must name by ``mk`` itself, so unsorted or duplicated
+        vertex tuples are refused; ``cop_configs`` enumerates every cops
+        move in the solver's order, and replay needs just one.
         """
+        if pos == INIT or pos[3] == THIEF:
+            return play_by_successors(self, pos, mk)
+        v, cmask, vmask, _ = pos
         try:
-            tag = mk[0]
-            if pos == INIT:
-                q = (mk[1], 0, 0, COPS) if tag == "start" else None
-            elif pos[3] == THIEF:
-                q = (mk[1], pos[1], pos[2], COPS) if tag == "to" else None
             # a vertex past the graph would make ``mask_of`` build a huge int
-            elif tag == "occupy" and all(x < self.g.n for x in mk[1] + mk[2]):
-                v, cmask, vmask, _ = pos
-                c2, t2 = mask_of(mk[1]), mask_of(mk[2])
-                legal = self._cops_move_legal(v, cmask, vmask, c2, t2)
-                q = (v, c2, t2, THIEF) if legal else None
-            else:
-                q = None
+            if mk[0] != "occupy" or not all(x < self.g.n for x in mk[1] + mk[2]):
+                return None
+            c2, t2 = mask_of(mk[1]), mask_of(mk[2])
         except (TypeError, ValueError, LookupError):
             return None
-        if q is not None and q[3] == COPS:
-            succ = self.successors(pos)
-            # the listed successor, whatever number types ``mk`` used
-            q = succ[succ.index(q)] if q in succ else None
-        return q if q is not None and self.move_key(pos, q) == mk else None
+        q = (v, c2, t2, THIEF)
+        legal = self._cops_move_legal(v, cmask, vmask, c2, t2)
+        return q if legal and self.move_key(pos, q) == mk else None
 
     def pos_key(self, pos):
         if pos == INIT:

@@ -12,8 +12,10 @@ Every game object in this package exposes the same small protocol:
   its successor ``dst``
 * ``play(pos, move_key)`` -> the successor of ``pos`` that the key
   names, or ``None`` for a key that names no legal move (never raises
-  on a malformed or foreign key); every game decodes the key and
-  checks that one move instead of building every successor
+  on a malformed or foreign key); derived from ``successors`` and
+  ``move_key`` by :func:`play_by_successors`, except at pursuit cops
+  positions, where the key is decoded and that one move checked, since
+  they have the most successors
 * ``moves(pos)`` -> list of ``(move_key, successor)``, derived from
   ``successors`` and ``move_key``; nothing in the package calls it, and
   it stays for the benchmark tracer, which counts its calls
@@ -94,6 +96,7 @@ __all__ = [
     "solve_finite_game",
     "least_winning_k",
     "verify_certificate",
+    "play_by_successors",
     "GameSpec",
     "GAMES",
     "make_game",
@@ -362,6 +365,15 @@ def _walk_strategy(game, positions: list, index: dict, cops: bytearray,
                 seen[j] = 1
                 walk.append(j)
     return cert
+
+
+def play_by_successors(game, pos, mk):
+    """The successor of ``pos`` whose ``move_key`` is ``mk``, or ``None``.
+
+    A game's move keys at one position are unique, so the first match
+    is the only one.
+    """
+    return next((q for q in game.successors(pos) if game.move_key(pos, q) == mk), None)
 
 
 def least_winning_k(g, game_id: str, ceiling: int | None = None) -> int:

@@ -293,11 +293,10 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
                 rec.skips.append(
                     f"{variant} arena exceeded {exc.limit} positions at k={k}"
                 )
-                if variant not in lift:
-                    unknown.add(variant)
+                unknown.add(variant)
                 continue
             winners[variant] = res.winner
-            if res.winner == COPS and variant not in lift:
+            if res.winner == COPS:
                 lift[variant] = res.certificate
             del res  # with its search arrays, before the next solve
         if len(set(winners.values())) > 1:

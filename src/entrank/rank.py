@@ -68,6 +68,7 @@ from .gamecore import (
     ArenaCeilingError,
     GameResult,
     GameSpec,
+    play_by_successors,
     solve_finite_game,
 )
 
@@ -366,31 +367,7 @@ class ComebackGame:
     def moves(self, pos: CPos):
         return [(self.move_key(pos, q), q) for q in self.successors(pos)]
 
-    def play(self, pos: CPos, mk) -> CPos | None:
-        """The successor of ``pos`` that move key ``mk`` names, or ``None``.
-
-        Only the named successor is interned: a ``remove`` is found among
-        the vertices, an ``enter`` among the components of ``decompose``
-        and a ``comeback`` among the recorded entries, and ``move_key``
-        must then name it by ``mk`` itself.
-        """
-        try:
-            tag, arg = mk
-        except (TypeError, ValueError):
-            return None
-        q = None
-        if pos.turn != THIEF:
-            if tag == "remove":
-                v = next((v for v in iter_mask(pos.mask) if v == arg), None)
-                if v is not None:
-                    q = self._pos(pos.mask & ~(1 << v), THIEF, pos.entries, pos.n - 1)
-        elif tag == "enter":
-            if pos.n > 0:
-                q = next((self._enter(pos, c, ahead) for c, ahead in self.decompose(pos.mask)
-                          if tuple(iter_mask(c)) == arg), None)
-        elif tag == "comeback":
-            q = next((e for e in pos.entries if self.pos_key(e) == arg), None)
-        return q if q is not None and self.move_key(pos, q) == mk else None
+    play = play_by_successors
 
     def pos_key(self, pos: CPos):
         k = self._keys.get(pos.uid)

@@ -157,6 +157,9 @@ def test_verify_rejects_bad_usage(run, dicycle_file):
         "verify", "theorem", dicycle_file, "--corpus", "random:n=3,p=0.2"
     )
     assert rc == 2 and "not both" in err
+    # the equivalence suite translates nothing, so it must not accept the flag
+    assert run("verify", "equiv", "--translate", "--corpus", "family:name=dicycle,size=3") == (
+        2, "", "error: --translate applies only to verify theorem\n")
 
 
 def _refuse(*args, **kwargs):
@@ -427,7 +430,7 @@ def test_muterm_analyze_ceiling_exits_2(run, tmp_path, tiny_rank_ceiling):
      "error: et arena exceeded the position ceiling of 1\n"),
     (("game", "comeback", "{graph}", "-k", "2"),
      "error: comeback arena exceeded the position ceiling of 1\n"),
-])
+], ids=["measure", "measure-ent", "translate", "muterm-analyze", "game-et", "game-comeback"])
 def test_ceiling_flag_exits_2(run, upath_file, tmp_path, argv, err):
     # the flag reaches every solver of measure, game, translate and muterm analyze
     term = tmp_path / "t.term"
