@@ -18,7 +18,9 @@ Exit status: 0 when the requested work succeeded with zero violations,
 1 when a verification suite or translation reported violations or a
 replayed certificate was rejected, 2 on operational errors (unreadable
 files, an input file that is not UTF-8 text, malformed certificates,
-solver ceilings, bad arguments).
+solver ceilings, bad arguments).  Output cut short by a reader that
+closes stdout early (``| head -1``) ends quietly: with the command's own
+status when it had finished, else 0.
 
 ``verify --json -`` (or bare ``--json``) writes the report JSON to
 stdout and moves the human-readable summary to stderr, so that piped
@@ -346,8 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    code = EXIT_OK  # kept when only the output was cut short
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head -1``): the rest of the output,
+        # and the flush at exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
     except (ArenaCeilingError, RankDepthError) as exc:  # resource stops, in any command
         message = f"error: {exc}"
     except SystemExit as exc:  # our error messages carry a string code

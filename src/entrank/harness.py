@@ -9,10 +9,11 @@ Two suites, both returning a :class:`VerificationReport`:
   and replayed.  ``entrank translate`` runs the same step.
 * :func:`run_equivalence_suite` — per graph, checks that the rank
   recursion, the shrinking game, and the comeback game agree on the
-  minimal cop count, and that the three pursuit variants have the same
-  winner at every ``k <= n``.  Each variant is solved up to its least
-  winning ``k``; above it, its cops certificate from that ``k`` is
-  replayed with the larger budget, and a rejected replay is a failure.
+  minimal cop count, and decides the three pursuit variants at every
+  ``k <= n`` from two solves: ``ent`` up to its least winning ``k``,
+  ``e``, and ``entv`` at ``e - 1``, a thief win.  Every other level is
+  a replay of one of their two certificates, and a rejected replay is
+  a failure (see ``_sweep_variants``).
 
 Suites parallelise across graphs only (``jobs``); per-graph work is
 sequential and results are merged in corpus order, so reports are a
@@ -42,6 +43,7 @@ from .digraph import Digraph
 from .entgames import VARIANTS, entanglement, solve_pursuit
 from .gamecore import (
     COPS,
+    THIEF,
     ArenaCeilingError,
     StrategyCertificate,
     least_winning_k,
@@ -249,66 +251,85 @@ def _equivalence_worker(task) -> ReportRecord:
 
 
 def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
-    """Find the winner of all three pursuit variants at every ``k <= n``.
+    """Decide the winner of all three pursuit variants at every
+    ``k <= n`` from two solves and one replay per other level.
 
-    Below a variant's least winning ``k`` every level is solved.  Above
-    it the cops certificate from that least ``k`` is replayed with its
-    budget raised to ``k``, and that replay alone decides the level:
-    extra cops never hurt, since thief moves depend only on the cop mask
-    and every cop move legal with ``k`` cops stays legal with more.  A
-    replay that ``verify_certificate`` accepts proves a cops win without
-    building the arena; a rejected one is a failure naming both budgets.
-    The positions of a pursuit game do not depend on ``k``, so a lifted
-    replay meets exactly the positions of the certificate walk at the
-    first win, all stored by that solve under the same ceiling: it
-    cannot trip it.  Only the certificate of a variant's first cops win
-    is read, so only that one is walked; every other solve gives its
-    winner alone.  Winner agreement at each level is the strong form;
-    the per-variant minimal ``k`` values recorded on the way out follow
-    from it.  A variant with a skipped level below its first cops win
-    has no known minimal ``k`` and records none: a solve at a larger
-    ``k`` can store fewer positions than one at a smaller ``k``, so the
-    first win may lie above the least.
+    ``ent`` is solved at ``k = 0, 1, ...`` up to its first cops win
+    ``e``, and ``entv`` at ``e - 1`` when ``e > 0``.  Every other level
+    is decided by :func:`verify_certificate` on one of the two
+    certificates, with its game tag and ``k`` changed: the ``ent`` cops
+    certificate decides ``ent`` above ``e`` and ``et`` and ``entv`` from
+    ``e`` up, the ``entv`` thief certificate every level below ``e``
+    that no solve decided.  This is sound because the three games share
+    their thief moves; at a position with no virtual cops an ``ent``
+    cops move is an ``et`` move, which is an ``entv`` move that reserves
+    nothing; and a cops move legal with ``k`` cops stays legal with
+    more.  So the cops certificate, which never reserves, plays only
+    legal moves in every variant at ``k' >= e``, and the thief
+    certificate, in any variant at ``k' <= e - 1``, faces only cops
+    moves it was solved against: an opponent with fewer moves cannot
+    beat it.
+
+    A rejected replay is a failure naming the certificate's game, both
+    budgets and the reason, and nothing is re-solved; so is an ``entv``
+    cops win at ``e - 1`` where ``ent`` was solved a thief win.  A
+    pursuit position depends on neither ``k`` nor the variant, so a
+    replay meets only positions that its certificate's solve stored
+    under the same ceiling, and cannot trip it.  Skips name a tripped
+    solve: ``ent`` at a ``k`` up to ``e`` (at every ``k`` when no solve
+    finds a cops win), or ``entv`` at ``e - 1``.  The thief certificate
+    still decides a skipped ``ent`` level.  A variant records ``e`` as
+    its least ``k`` when its levels below ``e`` are decided for the
+    thief and level ``e`` for the cops, and None otherwise: a solve at a
+    larger ``k`` can store fewer positions than one at a smaller ``k``,
+    so with a tripped level below it ``e`` may lie above the least ``k``.
     """
-    lift: dict[str, StrategyCertificate] = {}  # cops certificate at the least k
-    unknown: set[str] = set()  # variants skipped below their first cops win
-    for k in range(g.n + 1):
-        winners = {}
-        for variant in VARIANTS:
-            cert = lift.get(variant)
-            if cert is not None:
+    won: dict[tuple[str, int], str] = {}  # (variant, k) -> winner of a decided level
+    for e in range(g.n + 1):
+        try:
+            res = solve_pursuit(g, e, "ent", ceiling=ceiling)
+        except ArenaCeilingError as exc:
+            rec.skips.append(f"ent arena exceeded {exc.limit} positions at k={e}")
+            continue
+        won["ent", e] = res.winner
+        if res.winner == COPS:
+            break
+        del res  # with its search arrays, before the next solve
+    else:
+        return  # no cops win to replay
+    certs = [res.certificate]  # reading it drops the search arrays
+    if e:
+        try:
+            res = solve_pursuit(g, e - 1, "entv", ceiling=ceiling)
+        except ArenaCeilingError as exc:
+            rec.skips.append(f"entv arena exceeded {exc.limit} positions at k={e - 1}")
+        else:
+            if res.winner == THIEF:
+                won["entv", e - 1] = THIEF
+                certs.append(res.certificate)
+            elif ("ent", e - 1) in won:  # not a contradiction if that solve tripped
+                rec.failures.append(f"entv won by the cops at k={e - 1}, "
+                                    f"below ent's first cops win at k={e}")
+    for cert in certs:
+        for k in range(e, g.n + 1) if cert.winner == COPS else range(e):
+            for variant in VARIANTS:
+                if (variant, k) in won:
+                    continue
                 replay = verify_certificate(
-                    g, variant, k, StrategyCertificate(variant, k, COPS, cert.moves),
+                    g, variant, k, StrategyCertificate(variant, k, cert.winner, cert.moves),
                     ceiling=ceiling,
                 )
                 if replay.ok:
-                    winners[variant] = COPS
+                    won[variant, k] = cert.winner
                 else:
-                    rec.failures.append(f"{variant} certificate from k={cert.k} "
-                                        f"rejected at k={k}: {replay.reason}")
-                continue
-            try:
-                res = solve_pursuit(g, k, variant, ceiling=ceiling)
-            except ArenaCeilingError as exc:
-                rec.skips.append(
-                    f"{variant} arena exceeded {exc.limit} positions at k={k}"
-                )
-                unknown.add(variant)
-                continue
-            winners[variant] = res.winner
-            if res.winner == COPS:
-                lift[variant] = res.certificate
-            del res  # with its search arrays, before the next solve
-        if len(set(winners.values())) > 1:
-            rec.failures.append(f"variant winners disagree at k={k}: {winners}")
-    first_win = {v: lift[v].k if v in lift and v not in unknown else None
-                 for v in VARIANTS}
-    rec.ent_k = first_win["ent"]
-    rec.et_k = first_win["et"]
-    rec.entv_k = first_win["entv"]
+                    rec.failures.append(f"{cert.game} {cert.winner} certificate from "
+                                        f"k={cert.k} rejected as {variant} at k={k}: "
+                                        f"{replay.reason}")
+    decided = [THIEF] * e + [COPS]
+    for variant in VARIANTS:
+        least = e if [won.get((variant, k)) for k in range(e + 1)] == decided else None
+        setattr(rec, f"{variant}_k", least)
     rec.entanglement = rec.ent_k
-    if len({v for v in first_win.values() if v is not None}) > 1:
-        rec.failures.append(f"variant min-k values disagree: {first_win}")
 
 
 def _check_counts(jobs: int, ceiling: int | None) -> None:

@@ -50,16 +50,22 @@ def dg(n: int, edges) -> Digraph:
     return Digraph(n, edges)
 
 
-def run_python(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on ``args`` that imports this ``entrank``,
-    with ``env`` added to the environment; its output is text."""
+def python_env(env: dict[str, str] | None = None) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this
+    ``entrank``, with ``env`` added."""
     child_env = dict(os.environ, **(env or {}))
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(entrank.__file__).resolve().parents[1]),
                     child_env.get("PYTHONPATH")) if p
     )
+    return child_env
+
+
+def run_python(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` that imports this ``entrank``,
+    with ``env`` added to the environment; its output is text."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env=child_env)
+                          timeout=120, env=python_env(env))
 
 
 # ------------------------------------------------------------ random terms

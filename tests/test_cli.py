@@ -17,7 +17,7 @@ from entrank import cli, harness
 from entrank.gamecore import ReplayReport
 from entrank.translate import TranslationError
 
-from conftest import run_python
+from conftest import python_env, run_python
 
 
 @pytest.fixture
@@ -531,6 +531,30 @@ def test_installed_console_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert "measure" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""), ids=("unbuffered", "buffered"))
+def test_output_cut_short_ends_quietly(run, tmp_path, unbuffered):
+    # `entrank game rank clique-8.edges -k 7 --cert rank-7.json | head -1`:
+    # unbuffered, the reader closes stdout after the first line and the
+    # second print meets the closed pipe; buffered, both lines wait for the
+    # flush at the end of the command, and the pipe is closed before it
+    graph, cert = tmp_path / "clique-8.txt", tmp_path / "rank-7.json"
+    graph.write_text("8\n" + "".join(f"{u} {v}\n" for u in range(8) for v in range(8) if u != v))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entrank", "game", "rank", str(graph), "-k", "7",
+         "--cert", str(cert)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=python_env({"PYTHONUNBUFFERED": unbuffered}),
+    )
+    if unbuffered:
+        assert proc.stdout.readline() == "game: rank  k: 7  winner: cops\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and err == ""
+    assert run("replay", str(graph), str(cert)) == (0, "ok\n", "")
 
 
 # ------------------------------------------------------------------ replay

@@ -196,7 +196,7 @@ def test_planted_violation_is_reported(monkeypatch):
     assert "FAIL" in rep.summary_line()
 
 
-# -------------------------------------------- lifted certificates in the sweep
+# ------------------------------------------ the sweep: two solves and replays
 
 
 def _reference_sweep(g):
@@ -235,33 +235,167 @@ def sweep_graphs(draw, max_n=6):
 @given(sweep_graphs())
 @settings(max_examples=40, deadline=None)
 def test_lifted_verdicts_match_solving_every_k(g):
-    lifted = []
-    real_verify = harness.verify_certificate
+    replayed, solves = [], []
+    real_verify, real_solve = harness.verify_certificate, harness.solve_pursuit
 
-    def spy(g_, variant, k, cert, ceiling=None):
+    def verify(g_, variant, k, cert, ceiling=None):
         rep = real_verify(g_, variant, k, cert, ceiling=ceiling)
-        if rep.ok:
-            lifted.append((variant, k))
+        replayed.append((variant, k, cert.winner, rep.ok))
         return rep
 
-    harness.verify_certificate = spy
+    def solve(g_, k, variant, ceiling=None):
+        solves.append((variant, k))
+        return real_solve(g_, k, variant, ceiling=ceiling)
+
+    harness.verify_certificate, harness.solve_pursuit = verify, solve
     try:
         rec = _sweep(g)
     finally:
-        harness.verify_certificate = real_verify
+        harness.verify_certificate, harness.solve_pursuit = real_verify, real_solve
     want, solved = _reference_sweep(g)
-    for variant, k in lifted:
-        assert solved[variant, k] == COPS, (variant, k, g.edges)
     assert rec.to_obj() == want.to_obj()
-    # every variant lifts at each k above its least winning k
-    least = {v: getattr(rec, f"{v}_k") for v in VARIANTS}
-    assert sorted(lifted) == sorted(
-        (v, k) for v in VARIANTS for k in range(least[v] + 1, g.n + 1)
+    # ent is solved up to its least k, e, and entv at e - 1: at most e + 2
+    # solves; every other level is one accepted replay with the solved winner
+    e = rec.ent_k
+    assert solves == [("ent", k) for k in range(e + 1)] + [("entv", e - 1)] * (e > 0)
+    assert len(solves) <= e + 2
+    assert sorted((v, k) for v, k, _, _ in replayed) == sorted(
+        (v, k) for v in VARIANTS for k in range(g.n + 1) if (v, k) not in solves
     )
+    for variant, k, winner, ok in replayed:
+        assert ok and winner == solved[variant, k], (variant, k, g.edges)
+
+
+def _least_ceiling(g, k, variant):
+    """The smallest ceiling that the solve of ``variant`` at ``k`` fits."""
+    lo, hi = 1, gamecore.DEFAULT_POSITION_CEILING
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            solve_pursuit(g, k, variant, ceiling=mid)
+        except ArenaCeilingError:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@given(sweep_graphs())
+@settings(max_examples=40, deadline=None)
+def test_both_certificates_replay_at_every_level_within_their_solves_ceilings(g):
+    # the ent cops certificate at e holds in every variant at every k >= e,
+    # the entv thief certificate at e - 1 in every variant at every k < e;
+    # a pursuit position depends on neither k nor the variant, so each
+    # replay meets only positions that its certificate's solve stored and
+    # fits the smallest ceiling that solve fits
+    e = gamecore.least_winning_k(g, "ent")
+    solves = [("ent", e, range(e, g.n + 1))] + [("entv", e - 1, range(e))] * (e > 0)
+    for solved, k0, levels in solves:
+        ceiling = _least_ceiling(g, k0, solved)
+        cert = solve_pursuit(g, k0, solved, ceiling=ceiling).certificate
+        for k in levels:
+            for variant in VARIANTS:
+                moved = gamecore.StrategyCertificate(variant, k, cert.winner, cert.moves)
+                assert gamecore.verify_certificate(g, variant, k, moved, ceiling=ceiling).ok, (
+                    solved, variant, k, g.edges)
+
+
+UCYCLE5 = dg(5, ucycle_edges(5))  # every variant's least k is 3
+
+
+def _sweep_with(monkeypatch, change):
+    """Sweep ucycle-5 with each solve's result passed through
+    ``change(variant, k, result)``; the record and the solves made."""
+    solves = []
+
+    def solve(g_, k, variant, ceiling=None):
+        solves.append((variant, k))
+        return change(variant, k, solve_pursuit(g_, k, variant, ceiling=ceiling))
+
+    monkeypatch.setattr(harness, "solve_pursuit", solve)
+    return _sweep(UCYCLE5), solves
+
+
+def test_changed_thief_move_is_a_failure(monkeypatch):
+    # the thief's answer to the first cops move, which puts a cop on its
+    # start vertex, becomes a step onto that cop
+    def change(variant, k, res):
+        if variant != "entv":
+            return res
+        cert = res.certificate
+        start = cert.moves[("init",)][1]
+        key = (start, (start,), (), THIEF)
+        assert key in cert.moves
+        moves = {**cert.moves, key: ("to", start)}
+        return GameResult(THIEF, gamecore.StrategyCertificate("entv", k, THIEF, moves))
+
+    rec, solves = _sweep_with(monkeypatch, change)
+    assert solves == [("ent", k) for k in range(4)] + [("entv", 2)]
+    # the cops can place that cop at k >= 1: et at 1 and 2, entv at 1
+    rejected = [re.fullmatch(r"entv thief certificate from k=2 rejected as (\w+) at "
+                             r"k=(\d): recorded move \('to', \d\) is illegal at .*", f)
+                for f in rec.failures]
+    assert all(rejected), rec.failures
+    assert sorted(m.groups() for m in rejected) == [("entv", "1"), ("et", "1"), ("et", "2")]
+    assert (rec.ent_k, rec.et_k, rec.entv_k) == (3, None, None)
+    assert rec.skips == []
+
+
+def test_cops_certificate_offered_below_its_budget_is_a_failure(monkeypatch):
+    # ent's cops certificate from k = 3 passed off as a cops win at k = 2
+    def change(variant, k, res):
+        if variant != "ent" or k != 2:
+            return res
+        cert = solve_pursuit(UCYCLE5, 3, "ent").certificate
+        return GameResult(COPS, gamecore.StrategyCertificate("ent", 2, COPS, cert.moves))
+
+    rec, solves = _sweep_with(monkeypatch, change)
+    assert solves == [("ent", 0), ("ent", 1), ("ent", 2), ("entv", 1)]
+    assert [f.split(": ")[0] for f in rec.failures] == [
+        "ent cops certificate from k=2 rejected as et at k=2",
+        "ent cops certificate from k=2 rejected as entv at k=2",
+    ]
+    assert (rec.et_k, rec.entv_k) == (None, None)
+
+
+def test_entv_cops_win_below_the_least_k_is_a_failure(monkeypatch):
+    def change(variant, k, res):
+        return GameResult(COPS) if variant == "entv" else res
+
+    rec, solves = _sweep_with(monkeypatch, change)
+    assert solves == [("ent", k) for k in range(4)] + [("entv", 2)]
+    assert rec.failures == ["entv won by the cops at k=2, below ent's first cops win at k=3"]
+    assert (rec.ent_k, rec.et_k, rec.entv_k) == (3, None, None)
+
+
+def test_tripped_least_level_is_a_skip_not_a_failure(monkeypatch):
+    # ent trips at its least k, 3, and wins at 4; entv wins at 3, which is
+    # no contradiction, and no least k is known
+    def change(variant, k, res):
+        if (variant, k) == ("ent", 3):
+            raise ArenaCeilingError("ent", 7)
+        return res
+
+    rec, solves = _sweep_with(monkeypatch, change)
+    assert solves == [("ent", k) for k in range(5)] + [("entv", 3)]
+    assert rec.skips == ["ent arena exceeded 7 positions at k=3"]
+    assert rec.failures == []
+    assert (rec.ent_k, rec.et_k, rec.entv_k) == (None, None, None)
+
+
+def test_tripped_level_below_the_least_k_is_decided_by_the_thief(monkeypatch):
+    def change(variant, k, res):
+        if (variant, k) == ("ent", 1):
+            raise ArenaCeilingError("ent", 7)
+        return res
+
+    rec, _ = _sweep_with(monkeypatch, change)
+    assert rec.skips == ["ent arena exceeded 7 positions at k=1"]
+    assert rec.failures == []
+    assert (rec.ent_k, rec.et_k, rec.entv_k) == (3, 3, 3)
 
 
 def test_rejected_lift_is_a_failure_and_nothing_is_re_solved(monkeypatch):
-    g = dg(5, ucycle_edges(5))
     asked, solved = [], []
     real_solve = harness.solve_pursuit
 
@@ -275,50 +409,31 @@ def test_rejected_lift_is_a_failure_and_nothing_is_re_solved(monkeypatch):
 
     monkeypatch.setattr(harness, "verify_certificate", reject)
     monkeypatch.setattr(harness, "solve_pursuit", count)
-    rec = _sweep(g)
-    # every variant's least k on ucycle-5 is 3; each k above it was
-    # offered as a lift, and no level above it was solved
-    assert (rec.ent_k, rec.et_k, rec.entv_k) == (3, 3, 3)
-    assert sorted(asked) == sorted((v, k) for v in VARIANTS for k in (4, 5))
-    assert sorted(solved) == sorted((v, k) for v in VARIANTS for k in range(4))
-    # one failure per lifted level, naming the variant, both budgets and
-    # the reason
+    rec = _sweep(UCYCLE5)
+    # ent is solved up to its least k, 3, and entv at 2; every other level
+    # was offered as a replay, and none was solved
+    assert solved == [("ent", k) for k in range(4)] + [("entv", 2)]
+    assert sorted(asked) == sorted(
+        (v, k) for v in VARIANTS for k in range(6) if (v, k) not in solved
+    )
+    # one failure per replayed level, naming the certificate's game, both
+    # budgets and the reason; ent alone has its least k from its solves
     assert rec.failures == [
-        f"{v} certificate from k=3 rejected at k={k}: rejected for the test"
-        for k in (4, 5) for v in VARIANTS
+        f"ent cops certificate from k=3 rejected as {v} at k={k}: rejected for the test"
+        for k in (3, 4, 5) for v in VARIANTS if (v, k) != ("ent", 3)
+    ] + [
+        f"entv thief certificate from k=2 rejected as {v} at k={k}: rejected for the test"
+        for k in (0, 1, 2) for v in ("et", "entv") if (v, k) != ("entv", 2)
     ]
+    assert (rec.ent_k, rec.et_k, rec.entv_k) == (3, None, None)
     assert rec.skips == []
 
 
-@given(sweep_graphs())
-@settings(max_examples=40, deadline=None)
-def test_lifted_replays_fit_the_ceiling_of_the_first_win(g):
-    # a pursuit position does not depend on k, so a lifted replay meets
-    # only positions that the solve at the first cops win stored: it fits
-    # the smallest ceiling that solve fits
-    for variant in VARIANTS:
-        least = gamecore.least_winning_k(g, variant)
-        lo, hi = 1, gamecore.DEFAULT_POSITION_CEILING
-        while lo < hi:  # the smallest ceiling the solve fits
-            mid = (lo + hi) // 2
-            try:
-                solve_pursuit(g, least, variant, ceiling=mid)
-            except ArenaCeilingError:
-                lo = mid + 1
-            else:
-                hi = mid
-        cert = solve_pursuit(g, least, variant, ceiling=lo).certificate
-        for k in range(least + 1, g.n + 1):
-            lifted = gamecore.StrategyCertificate(variant, k, COPS, cert.moves)
-            assert gamecore.verify_certificate(g, variant, k, lifted, ceiling=lo).ok
-
-
-@pytest.mark.parametrize("lifts", (True, False))
-def test_sweep_walks_only_first_cops_certificates(monkeypatch, lifts):
-    # each variant's certificate is read once, at its first cops win, to
-    # be lifted; every other solve gives its winner alone and walks
-    # nothing, and a rejected lift solves nothing
-    g = dg(5, ucycle_edges(5))
+@pytest.mark.parametrize("replays", (True, False))
+def test_sweep_walks_only_the_two_solved_certificates(monkeypatch, replays):
+    # the ent certificate at its first cops win and the entv one below it
+    # are read to be replayed; every other solve gives its winner alone and
+    # walks nothing, and a rejected replay solves nothing
     walked = []
     real_walk = gamecore._walk_strategy
 
@@ -327,40 +442,42 @@ def test_sweep_walks_only_first_cops_certificates(monkeypatch, lifts):
         return real_walk(game, *arrays)
 
     monkeypatch.setattr(gamecore, "_walk_strategy", count)
-    if not lifts:
+    if not replays:
         monkeypatch.setattr(harness, "verify_certificate",
                             lambda *args, **kwargs: ReplayReport(False, "rejected for the test"))
-    rec = _sweep(g)
-    assert (rec.ent_k, rec.et_k, rec.entv_k) == (3, 3, 3)
-    assert sorted(walked) == sorted((v, 3) for v in VARIANTS)
+    rec = _sweep(UCYCLE5)
+    assert rec.ent_k == 3
+    assert walked == [("ent", 3), ("entv", 2)]
 
 
 CEILING_CORPUS = "random:n=5,p=0.3,seed=7,count=20"
 
 
 def test_small_ceiling_skips_only_up_to_the_least_k():
-    # a lifted win builds no arena, and its replays on this corpus store
-    # at most 92 positions, so only levels up to a variant's least
-    # winning k can be skipped.  A solve stores at most 371 positions at
-    # a least k here, and the solves of one variant need not grow with
-    # k: at 200 random-7-0016 trips entv at its least k, 2, but solves
-    # it at 3, which must not be taken for the least k
+    # a replay builds no arena and meets only positions its certificate's
+    # solve stored, so only the two solves can trip: ent at a k up to its
+    # first cops win, entv one below it.  At 60, 7 solves trip here; the
+    # solves of one variant need not grow with k, and random-7-0014 trips
+    # ent at its least k, 2, but solves it at 3, which must not be taken
+    # for the least k
     full = run_equivalence_suite(CEILING_CORPUS)
     assert full.skips == 0
-    bounded = run_equivalence_suite(CEILING_CORPUS, ceiling=200)
-    assert bounded.ok and bounded.skips > 0
+    bounded = run_equivalence_suite(CEILING_CORPUS, ceiling=60)
+    assert bounded.ok and bounded.skips == 7
     for rec, want in zip(bounded.records, full.records):
         for variant in VARIANTS:
             got = getattr(rec, f"{variant}_k")
             assert got in (None, getattr(want, f"{variant}_k"))
         for skip in rec.skips:
-            variant, k = re.fullmatch(
-                r"(\w+) arena exceeded 200 positions at k=(\d+)", skip
-            ).groups()
-            least = getattr(rec, f"{variant}_k")
-            assert least is None or int(k) <= least, (rec.graph_id, skip)
-    # solving every k skips 9 levels at this ceiling; the lift none
-    assert run_equivalence_suite(CEILING_CORPUS, ceiling=400).to_json() == full.to_json()
+            k = re.fullmatch(r"(?:ent|entv) arena exceeded 60 positions at k=(\d+)", skip)[1]
+            assert rec.ent_k is None or int(k) < rec.ent_k, (rec.graph_id, skip)
+    tripped = {rec.graph_id: rec for rec in bounded.records}["random-7-0014"]
+    assert tripped.skips == ["ent arena exceeded 60 positions at k=2",
+                             "entv arena exceeded 60 positions at k=2"]
+    assert tripped.ent_k is None
+    # solving every level up to each variant's least k skipped 13 at 200;
+    # the two solves fit 80
+    assert run_equivalence_suite(CEILING_CORPUS, ceiling=80).to_json() == full.to_json()
 
 
 @pytest.mark.parametrize("suite", (run_theorem_suite, run_equivalence_suite))
@@ -369,9 +486,11 @@ def test_suites_refuse_counts_below_one(suite):
         with pytest.raises(ValueError, match="must be at least 1"):
             suite(SMALL, **kwargs)
     # a ceiling of 1 is taken: the rank memo holds one strongly connected
-    # mask, so 8 graphs stop there and the 4 of rank <= 1 in the games
-    # (once for the theorem suite, once per skipped check for the other)
+    # mask, so 8 graphs stop there and the 4 of rank <= 1 in the games:
+    # once each in the theorem suite; in the other, the 3 of rank 1 in both
+    # rank games, and all 4 in the ent solve at each k = 0..4, so 8 + 3 * 7
+    # + 5 skips
     rep = suite(SMALL, ceiling=1, jobs=1)
     assert sum(rec.rank is None for rec in rep.records) == 8
     assert all(rec.skips for rec in rep.records)
-    assert rep.skips == {run_theorem_suite: 12, run_equivalence_suite: 74}[suite]
+    assert rep.skips == {run_theorem_suite: 12, run_equivalence_suite: 34}[suite]
