@@ -34,8 +34,12 @@ cops play the move that first won a position, and the thief plays its
 first successor, in ``successors`` order, that the cops have not won.
 The winner is known when the search ends; the certificate is walked
 only on the first read of :attr:`GameResult.certificate`, and until
-then the result keeps the search's arrays.  A caller that needs only
-the winner, such as :func:`least_winning_k`, never walks one.
+then the result keeps the search's arrays.  Among them is a record of
+each cops position whose examination ended without a win: the indices
+of its successors, in ``successors`` order.  The walk of a thief win
+branches over the cops moves by that record instead of listing them a
+second time.  A caller that needs only the winner, such as
+:func:`least_winning_k`, never walks one.
 
 Canonical position keys:
 
@@ -74,7 +78,6 @@ the thief wins).
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, NamedTuple
@@ -217,7 +220,8 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
     earlier, so every play of the cops strategy ends.  It is walked on
     the first read of the result's ``certificate``; until then the
     result keeps the search's position list, index and per-position
-    arrays, so drop a result before the next solve.  Raises
+    arrays, with the successors' indices of every cops position that
+    is not won, so drop a result before the next solve.  Raises
     :class:`ArenaCeilingError` when more than ``ceiling`` positions would
     be stored (see :func:`position_limit`).
     """
@@ -227,9 +231,19 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
 
     # Per stored position, by index: the position, whether the cops move
     # there, whether it is terminal, whether it is a cops win, whether it
-    # is on the work stack, the successors it has still to examine
-    # (reversed, so the next one is last; ``None`` when it is not being
-    # examined), and for a won cops position the successor that won it.
+    # is on the work stack, its ``successors`` list while it is being
+    # examined (``None`` otherwise), and ``via``.  During an examination
+    # ``via`` counts the successors examined so far, and a cops position
+    # puts the index of each one it has examined in its place in the
+    # list.  A won cops position's ``via`` is the successor that won it.
+    # When a cops position's examination ends without a win, its ``via``
+    # is where its record starts in ``listed``: the number of its
+    # successors, then their indices in ``successors`` order.  A later
+    # win overwrites ``via``, which drops the record.  ``via`` and
+    # ``listed`` are lists, not arrays: storing an int into an array
+    # converts it, which made the search several percent slower.  The
+    # indices in ``listed`` are the index's own int objects, so each
+    # entry costs one pointer, as an array item would.
     positions: list = [init]
     index: dict = {init: 0}
     cops = bytearray([owner(init) == COPS])
@@ -237,7 +251,8 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
     won = bytearray(1)
     active = bytearray(b"\1")
     pending: list = [None]
-    via = array("l", [-1])
+    via: list = [-1]
+    listed: list = []
     waiting: dict = {}  # position index -> positions to tell once it is won
     stack = [0]
 
@@ -281,12 +296,13 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
                     stack.pop()
                     active[p] = 0
                 continue
-            todo = game.successors(pos)
-            todo.reverse()
-            pending[p] = todo
+            todo = pending[p] = game.successors(pos)
+            via[p] = 0
+        at = via[p]
+        end = len(todo)
         descend = False
-        while todo:
-            q = todo[-1]
+        while at < end:
+            q = todo[at]
             j = index.get(q)
             if j is None:
                 j = len(positions)
@@ -307,7 +323,7 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
                 if cops_turn:
                     win(p, j)
                     break
-                todo.pop()
+                at += 1
                 continue
             # undecided, or open below on the stack: wait for it
             waiting.setdefault(j, []).append(p)
@@ -315,28 +331,40 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
                 # resumed, from a fresh ``successors`` list, once j is won
                 pending[p] = None
                 break
-            todo.pop()
-        if descend or won[p]:
+            todo[at] = j
+            at += 1
+        if descend:
+            via[p] = at
+            continue
+        if won[p]:
             continue
         stack.pop()
         active[p] = 0
-        if not todo:
+        if at == end:
             pending[p] = None
-            if not cops_turn:
+            if cops_turn:
+                via[p] = len(listed)
+                listed.append(end)
+                listed.extend(todo)
+            else:
                 win(p, -1)
 
     # the search's arrays stay with the result until its certificate is read
     return GameResult(COPS if won[0] else THIEF,
                       walk=partial(_walk_strategy, game, positions, index, cops,
-                                   terminal, won, via))
+                                   terminal, won, via, listed))
 
 
 def _walk_strategy(game, positions: list, index: dict, cops: bytearray,
-                   terminal: bytearray, won: bytearray, via: array) -> StrategyCertificate:
+                   terminal: bytearray, won: bytearray, via: list,
+                   listed: list) -> StrategyCertificate:
     """The certificate of a search by :func:`solve_finite_game`.
 
     Walks the winner's strategy from the initial position (index 0): the
     winner's recorded move at its turns, every move at the opponent's.
+    At a cops position of a thief win, the opponent's moves are the
+    indices the search recorded in ``listed``; elsewhere they are listed
+    by ``successors``.
     """
     winner = COPS if won[0] else THIEF
     cert = StrategyCertificate(game.game_id, game.k, winner)
@@ -358,8 +386,11 @@ def _walk_strategy(game, positions: list, index: dict, cops: bytearray,
                 raise AssertionError(f"no winning move at a {winner}-won position")
             cert.moves[game.pos_key(pos)] = game.move_key(pos, positions[chosen])
             nxt = (chosen,)
-        else:
+        elif won[0]:
             nxt = map(index.__getitem__, game.successors(pos))
+        else:
+            start = via[p] + 1
+            nxt = listed[start:start + listed[start - 1]]
         for j in nxt:
             if not seen[j]:
                 seen[j] = 1

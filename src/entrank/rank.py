@@ -304,8 +304,8 @@ class ComebackGame:
     finite_plays = True
 
     def __init__(self, g: Digraph, k: int):
-        if k < 0:
-            raise ValueError("budget k must be >= 0")
+        if not 0 <= k <= g.n:
+            raise ValueError("budget k must satisfy 0 <= k <= |V|")
         self.g = g
         self.k = k
         self._intern: dict = {}

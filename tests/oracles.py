@@ -252,35 +252,18 @@ def pursuit_thief_moves(game, won):
 
     ``game`` is a package pursuit game and ``won`` the cops' winning
     region of :func:`pursuit_cops_won`, which must not hold the start.
-    From the start, the thief takes at each of its turns the first
-    successor, in ``game.successors`` order, outside ``won``, and the
-    cops take every move.  Returns the recorded moves as ``{pos_key:
+    Returns the moves :func:`strategy_walk` records, as ``{pos_key:
     move_key}``.
     """
 
-    def oracle_pos(pos):
+    def cops_win(pos):
         key = game.pos_key(pos)
         if len(key) == 1:
-            return ("start",)
+            return ("start",) in won
         v, cops, vir, turn = key
-        return (v, frozenset(cops), frozenset(vir), turn)
+        return (v, frozenset(cops), frozenset(vir), turn) in won
 
-    moves = {}
-    init = game.initial_position()
-    seen = {game.pos_key(init)}
-    todo = [init]
-    while todo:
-        pos = todo.pop()
-        nxt = game.successors(pos)
-        if game.owner(pos) == THIEF:
-            q = next(q for q in nxt if oracle_pos(q) not in won)
-            moves[game.pos_key(pos)] = game.move_key(pos, q)
-            nxt = [q]
-        for q in nxt:
-            if game.pos_key(q) not in seen:
-                seen.add(game.pos_key(q))
-                todo.append(q)
-    return moves
+    return dict(strategy_walk(game, cops_win))
 
 
 def pursuit_min_k(n, edges, variant):
@@ -288,6 +271,76 @@ def pursuit_min_k(n, edges, variant):
     while ("start",) not in pursuit_cops_won(n, edges, k, variant):
         k += 1
     return k
+
+
+# ----------------------------------------------------- any game of the protocol
+
+
+def cops_region(game):
+    """The positions of ``game`` the cops win, by fixpoint on its arena.
+
+    The arena is every position reachable by ``successors``.  A terminal
+    position goes to its winner; otherwise the cops win a cops position
+    with some won successor and a thief position whose successors are
+    all won.  Infinite plays go to the thief (the least fixpoint).
+    """
+    arena = {}
+    todo = [game.initial_position()]
+    while todo:
+        pos = todo.pop()
+        if pos not in arena:
+            arena[pos] = game.successors(pos) if game.winner_if_terminal(pos) is None else None
+            todo.extend(arena[pos] or ())
+    won = {pos for pos, nxt in arena.items()
+           if nxt is None and game.winner_if_terminal(pos) == COPS}
+    changed = True
+    while changed:
+        changed = False
+        for pos, nxt in arena.items():
+            if pos in won or nxt is None:
+                continue
+            some_or_all = any if game.owner(pos) == COPS else all
+            if some_or_all(q in won for q in nxt):
+                won.add(pos)
+                changed = True
+    return won
+
+
+def strategy_walk(game, cops_win, cops_move=None):
+    """The ``(pos_key, move_key)`` pairs a certificate of ``game`` records.
+
+    The certificate walk of ``gamecore.solve_finite_game``, listing
+    ``successors`` at every position it meets.  ``cops_win(pos)`` tells
+    whether the cops win ``pos``, and ``cops_move(pos)`` is the
+    successor the cops play at a won cops position; the thief, when it
+    wins, plays its first successor the cops do not win.  From the
+    initial position, depth first and the last successor first, the walk
+    takes the winner's move at its turns and every move at the
+    opponent's, skipping terminal positions; the pairs come in the order
+    the winner's positions are met.
+    """
+    init = game.initial_position()
+    winner = COPS if cops_win(init) else THIEF
+    pairs = []
+    seen = {init}
+    todo = [init]
+    while todo:
+        pos = todo.pop()
+        if game.winner_if_terminal(pos) is not None:
+            continue
+        nxt = game.successors(pos)
+        if game.owner(pos) == winner:
+            if winner == COPS:
+                q = cops_move(pos)
+            else:
+                q = next(q for q in nxt if not cops_win(q))
+            pairs.append((game.pos_key(pos), game.move_key(pos, q)))
+            nxt = [q]
+        for q in nxt:
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return pairs
 
 
 # -------------------------------------------------------- certificate replay

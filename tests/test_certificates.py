@@ -24,8 +24,8 @@ from entrank.gamecore import (
 from entrank.rank import rank, solve_comeback_game
 from entrank.translate import translate_rank_strategy
 
-from conftest import dg, dicycle_edges, random_edges, ucycle_edges
-from oracles import replay_by_moves
+from conftest import clique_edges, dg, dicycle_edges, random_edges, ucycle_edges
+from oracles import cops_region, replay_by_moves, strategy_walk
 
 ALL_GAMES = ("rank", "comeback", "ent", "et", "entv")
 
@@ -462,6 +462,42 @@ def test_late_reads_give_the_certificates_of_prompt_ones(game_id, g, h, data):
     prompt = [certificate_to_json(_solve(h, game_id, j).certificate),
               certificate_to_json(_solve(g, game_id, k).certificate)]
     assert json.dumps(late) == json.dumps(prompt)
+
+
+@pytest.mark.parametrize("game_id", ALL_GAMES)
+@settings(max_examples=50, deadline=None)
+@given(g=small_graphs(max_n=6))
+def test_certificate_walk_matches_the_reference_walk(game_id, g):
+    # the walk reads each cops position's successors of a thief win from
+    # the search's record; the reference lists ``successors`` everywhere.
+    # The moves must come in the same order, since the comeback JSON
+    # ``table`` follows it.  The reference takes the cops' moves of a
+    # cops win from the certificate: which move first won a position
+    # depends on the search's order.
+    for k in range(g.n + 1):
+        game = make_game(g, game_id, k)
+        res = solve_finite_game(game)
+        won = cops_region(game)
+        assert (game.initial_position() in won) == (res.winner == COPS)
+        recorded = res.certificate.moves
+
+        def cops_move(pos):
+            return game.play(pos, recorded[game.pos_key(pos)])
+
+        assert list(recorded.items()) == strategy_walk(game, won.__contains__, cops_move)
+
+
+def test_thief_certificate_walk_lists_no_cops_moves(monkeypatch):
+    # clique-6 at k = 4 is a thief win of ``entv``: the walk branches
+    # over every cops move, read from the search's record
+    game = make_game(dg(6, clique_edges(6)), "entv", 4)
+    res = solve_finite_game(game)
+    assert res.winner == THIEF
+    listed = []
+    successors = game.successors
+    monkeypatch.setattr(game, "successors", lambda pos: listed.append(pos) or successors(pos))
+    assert len(res.certificate) == 2388
+    assert listed and all(game.owner(pos) == THIEF for pos in listed)
 
 
 def test_a_built_result_returns_its_certificate():

@@ -97,6 +97,10 @@ def test_game_bad_budget(run, dicycle_file):
     assert rc == 2 and "cop count" in err
     rc, _, err = run("game", "rank", dicycle_file, "-k", "-1")
     assert rc == 2 and "budget" in err
+    # the rank games refuse a budget past the vertex count, as the pursuit games do
+    for game_id in ("rank", "comeback"):
+        rc, out, err = run("game", game_id, dicycle_file, "-k", "9")
+        assert rc == 2 and out == "" and "budget" in err
 
 
 def test_game_writes_certificate(run, dicycle_file, tmp_path):
@@ -597,6 +601,7 @@ def test_replay_rejects_a_tampered_certificate(run, dicycle_file, tmp_path):
     ('{"game": "ent", "k": 1, "winner": "cops"}', "lacks the field 'moves'"),
     ('{"game": "nope", "k": 1, "winner": "cops", "moves": []}', "unknown game id 'nope'"),
     ('{"game": "ent", "k": 9, "winner": "cops", "moves": []}', "cop count k must satisfy"),
+    ('{"game": "rank", "k": 9, "winner": "cops", "moves": []}', "budget k must satisfy"),
     # one position named twice: which entry came last used to decide the verdict
     ('{"game": "ent", "k": 1, "winner": "cops", "moves": [%s, %s]}' % (
         '{"position": {"vertex": 0, "cops": [], "virtual": [], "turn": "cops"}, '

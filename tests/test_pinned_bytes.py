@@ -17,6 +17,7 @@ from entrank.gamecore import certificate_to_json, make_game, solve_finite_game
 from entrank.rank import solve_comeback_game
 from entrank.translate import translate_rank_strategy
 
+from conftest import clique_edges
 from test_translate import DOOR_CROSSING
 
 # a triangle with a looped vertex and a two-cycle hanging off it; rank 2
@@ -42,6 +43,10 @@ CERTIFICATES = {
     # the translation on the door-crossing graph of test_translate.py
     ("translate-door-crossing", 2):
         "f517a695316e02b28bc2582a8db2d951f22c19c4a8a991a9e1e372c642b2ac9e",
+    # thief wins on clique-6, walked over each cops position's
+    # successors as the search listed them (540,599 and 12,980 bytes)
+    ("entv-clique-6", 4): "4292da104e1cfa41ea4057c64be7bab64538dd593d7e82aa7b532f5161709035",
+    ("comeback-clique-6", 4): "5b97c1f93a3ca755c474fe232e9945f85901581b18a5198079d8cdfa2e06bd0f",
 }
 
 THEOREM_REPORT = "0c347071b39d417135c0931952e75bf82ece333de503429de6c5f1a621f8eecb"
@@ -74,4 +79,7 @@ def test_reports_and_certificates_keep_their_bytes(tmp_path):
     door = Digraph(5, DOOR_CROSSING)
     comeback = solve_comeback_game(door, 2).certificate
     got["translate-door-crossing", 2] = _cert_sha(translate_rank_strategy(door, comeback))
+    clique = Digraph(6, clique_edges(6))
+    for game_id in ("entv", "comeback"):
+        got[f"{game_id}-clique-6", 4] = _cert_sha(solve_finite_game(make_game(clique, game_id, 4)).certificate)
     assert got == CERTIFICATES
