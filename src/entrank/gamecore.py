@@ -38,8 +38,10 @@ then the result keeps the search's arrays.  Among them is a record of
 each cops position whose examination ended without a win: the indices
 of its successors, in ``successors`` order.  The walk of a thief win
 branches over the cops moves by that record instead of listing them a
-second time.  A caller that needs only the winner, such as
-:func:`least_winning_k`, never walks one.
+second time, and takes each thief move from the successor that thief
+position last waited on, so it lists no successors at all.  A caller
+that needs only the winner, such as :func:`least_winning_k`, never
+walks one.
 
 Canonical position keys:
 
@@ -235,7 +237,9 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
     # examined (``None`` otherwise), and ``via``.  During an examination
     # ``via`` counts the successors examined so far, and a cops position
     # puts the index of each one it has examined in its place in the
-    # list.  A won cops position's ``via`` is the successor that won it.
+    # list.  A won cops position's ``via`` is the successor that won it,
+    # and a thief position waiting on a successor has that successor's
+    # index in ``via`` (it resumes from a fresh list, at the start).
     # When a cops position's examination ends without a win, its ``via``
     # is where its record starts in ``listed``: the number of its
     # successors, then their indices in ``successors`` order.  A later
@@ -330,6 +334,7 @@ def solve_finite_game(game, ceiling: int | None = None) -> GameResult:
             if not cops_turn:
                 # resumed, from a fresh ``successors`` list, once j is won
                 pending[p] = None
+                via[p] = j
                 break
             todo[at] = j
             at += 1
@@ -362,9 +367,13 @@ def _walk_strategy(game, positions: list, index: dict, cops: bytearray,
 
     Walks the winner's strategy from the initial position (index 0): the
     winner's recorded move at its turns, every move at the opponent's.
+    The winner's move is ``via``: at a won cops position the successor
+    that won it, and at a thief position of a thief win the successor it
+    last waited on, which is its first successor the cops did not win.
     At a cops position of a thief win, the opponent's moves are the
-    indices the search recorded in ``listed``; elsewhere they are listed
-    by ``successors``.
+    indices the search recorded in ``listed``; at a thief position of a
+    cops win they are listed by ``successors``.  So the walk of a thief
+    win calls ``successors`` nowhere.
     """
     winner = COPS if won[0] else THIEF
     cert = StrategyCertificate(game.game_id, game.k, winner)
@@ -377,11 +386,7 @@ def _walk_strategy(game, positions: list, index: dict, cops: bytearray,
             continue
         pos = positions[p]
         if cops[p] == won[0]:
-            if won[0]:
-                chosen = via[p]
-            else:
-                chosen = next((j for j in map(index.get, game.successors(pos))
-                               if not won[j]), -1)
+            chosen = via[p]
             if chosen < 0:
                 raise AssertionError(f"no winning move at a {winner}-won position")
             cert.moves[game.pos_key(pos)] = game.move_key(pos, positions[chosen])

@@ -11,9 +11,11 @@ Two suites, both returning a :class:`VerificationReport`:
   recursion, the shrinking game, and the comeback game agree on the
   minimal cop count, and decides the three pursuit variants at every
   ``k <= n`` from two solves: ``ent`` up to its least winning ``k``,
-  ``e``, and ``entv`` at ``e - 1``, a thief win.  Every other level is
-  a replay of one of their two certificates, and a rejected replay is
-  a failure (see ``_sweep_variants``).
+  ``e``, and ``entv`` at ``e - 1``, a thief win.  The other levels are
+  decided by replaying their two certificates outward from ``e``: in
+  each variant the first accepted replay decides every farther level,
+  since one more cop keeps every cops move and changes nothing else,
+  and a rejected replay is a failure (see ``_sweep_variants``).
 
 Suites parallelise across graphs only (``jobs``); per-graph work is
 sequential and results are merged in corpus order, so reports are a
@@ -252,30 +254,40 @@ def _equivalence_worker(task) -> ReportRecord:
 
 def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
     """Decide the winner of all three pursuit variants at every
-    ``k <= n`` from two solves and one replay per other level.
+    ``k <= n`` from two solves and one accepted replay per variant and
+    side.
 
     ``ent`` is solved at ``k = 0, 1, ...`` up to its first cops win
     ``e``, and ``entv`` at ``e - 1`` when ``e > 0``.  Every other level
     is decided by :func:`verify_certificate` on one of the two
-    certificates, with its game tag and ``k`` changed: the ``ent`` cops
-    certificate decides ``ent`` above ``e`` and ``et`` and ``entv`` from
-    ``e`` up, the ``entv`` thief certificate every level below ``e``
-    that no solve decided.  This is sound because the three games share
-    their thief moves; at a position with no virtual cops an ``ent``
-    cops move is an ``et`` move, which is an ``entv`` move that reserves
-    nothing; and a cops move legal with ``k`` cops stays legal with
-    more.  So the cops certificate, which never reserves, plays only
-    legal moves in every variant at ``k' >= e``, and the thief
-    certificate, in any variant at ``k' <= e - 1``, faces only cops
-    moves it was solved against: an opponent with fewer moves cannot
-    beat it.
+    certificates, with its game tag and ``k`` changed.  In each variant
+    the ``ent`` cops certificate is replayed at ``k = e, e + 1, ..., n``
+    and the ``entv`` thief certificate at ``k = e - 1, e - 2, ..., 0``,
+    skipping levels a solve decided; the first accepted replay decides
+    its own level and every farther one of that variant.  This rests on
+    one lemma.  A pursuit position, the thief's moves and
+    ``winner_if_terminal`` do not depend on ``k``, and every cops move
+    that ``_cops_move_legal`` allows at ``k`` it also allows at
+    ``k + 1``.  So a cops certificate accepted at ``k`` replays the same
+    walk at every ``k' > k``, and a thief certificate accepted at ``k``
+    meets a subset of its walk at every ``k' < k``, where the opponent
+    has fewer moves.  Both replays at ``e`` and ``e - 1`` hold when the
+    solves are right: the three games share their thief moves; at a
+    position with no virtual cops an ``ent`` cops move is an ``et``
+    move, which is an ``entv`` move that reserves nothing; so the cops
+    certificate, which never reserves, plays only legal moves in every
+    variant, and the thief certificate faces only cops moves it was
+    solved against or fewer.
 
     A rejected replay is a failure naming the certificate's game, both
-    budgets and the reason, and nothing is re-solved; so is an ``entv``
-    cops win at ``e - 1`` where ``ent`` was solved a thief win.  A
-    pursuit position depends on neither ``k`` nor the variant, so a
-    replay meets only positions that its certificate's solve stored
-    under the same ceiling, and cannot trip it.  Skips name a tripped
+    budgets and the reason, and the next level of that variant is
+    replayed; nothing is re-solved.  An ``entv`` cops win at ``e - 1``
+    where ``ent`` was solved a thief win is a failure too.  Replay
+    failures come cops certificate first, then by ``k`` ascending, then
+    in :data:`VARIANTS` order.  A pursuit position depends on neither
+    ``k`` nor the variant, so a replay meets only positions that its
+    certificate's solve stored under the same ceiling, and cannot trip
+    it.  Skips name a tripped
     solve: ``ent`` at a ``k`` up to ``e`` (at every ``k`` when no solve
     finds a cops win), or ``entv`` at ``e - 1``.  The thief certificate
     still decides a skipped ``ent`` level.  A variant records ``e`` as
@@ -311,8 +323,11 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
                 rec.failures.append(f"entv won by the cops at k={e - 1}, "
                                     f"below ent's first cops win at k={e}")
     for cert in certs:
-        for k in range(e, g.n + 1) if cert.winner == COPS else range(e):
-            for variant in VARIANTS:
+        # outward from e: the cops certificate up, the thief certificate down
+        levels = range(e, g.n + 1) if cert.winner == COPS else range(e - 1, -1, -1)
+        rejected = {}  # (k, variant position) -> failure
+        for i, variant in enumerate(VARIANTS):
+            for at, k in enumerate(levels):
                 if (variant, k) in won:
                     continue
                 replay = verify_certificate(
@@ -320,11 +335,13 @@ def _sweep_variants(g: Digraph, rec: ReportRecord, ceiling: int | None) -> None:
                     ceiling=ceiling,
                 )
                 if replay.ok:
-                    won[variant, k] = cert.winner
-                else:
-                    rec.failures.append(f"{cert.game} {cert.winner} certificate from "
-                                        f"k={cert.k} rejected as {variant} at k={k}: "
-                                        f"{replay.reason}")
+                    for farther in levels[at:]:
+                        won[variant, farther] = cert.winner
+                    break
+                rejected[k, i] = (f"{cert.game} {cert.winner} certificate from "
+                                  f"k={cert.k} rejected as {variant} at k={k}: "
+                                  f"{replay.reason}")
+        rec.failures.extend(rejected[key] for key in sorted(rejected))
     decided = [THIEF] * e + [COPS]
     for variant in VARIANTS:
         least = e if [won.get((variant, k)) for k in range(e + 1)] == decided else None

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import entrank.gamecore as gamecore
 import entrank.harness as harness
 from entrank.digraph import Digraph
-from entrank.entgames import solve_pursuit
+from entrank.entgames import PursuitGame, solve_pursuit
 from entrank.gamecore import COPS, THIEF, ArenaCeilingError, GameResult, ReplayReport
 from entrank.harness import (
     ReportRecord,
@@ -255,15 +255,20 @@ def test_lifted_verdicts_match_solving_every_k(g):
     want, solved = _reference_sweep(g)
     assert rec.to_obj() == want.to_obj()
     # ent is solved up to its least k, e, and entv at e - 1: at most e + 2
-    # solves; every other level is one accepted replay with the solved winner
+    # solves.  Per certificate and variant, the replays are the unsolved
+    # levels from e outward up to the first accepted one; every replay
+    # here is accepted, so that is the first unsolved level alone, and it
+    # decides every farther level with the solved winner
     e = rec.ent_k
     assert solves == [("ent", k) for k in range(e + 1)] + [("entv", e - 1)] * (e > 0)
     assert len(solves) <= e + 2
-    assert sorted((v, k) for v, k, _, _ in replayed) == sorted(
-        (v, k) for v in VARIANTS for k in range(g.n + 1) if (v, k) not in solves
-    )
-    for variant, k, winner, ok in replayed:
-        assert ok and winner == solved[variant, k], (variant, k, g.edges)
+    first = []
+    for winner, levels in ((COPS, range(e, g.n + 1)), (THIEF, range(e - 1, -1, -1))):
+        for v in VARIANTS:
+            first += [(v, k, winner, True) for k in levels if (v, k) not in solves][:1]
+    assert replayed == first
+    for variant, k, winner, _ in replayed:
+        assert winner == solved[variant, k], (variant, k, g.edges)
 
 
 def _least_ceiling(g, k, variant):
@@ -298,6 +303,39 @@ def test_both_certificates_replay_at_every_level_within_their_solves_ceilings(g)
                 moved = gamecore.StrategyCertificate(variant, k, cert.winner, cert.moves)
                 assert gamecore.verify_certificate(g, variant, k, moved, ceiling=ceiling).ok, (
                     solved, variant, k, g.edges)
+
+
+@given(sweep_graphs())
+@settings(max_examples=30, deadline=None)
+def test_one_more_cop_keeps_every_cops_move_and_changes_nothing_else(g):
+    # the lemma behind one accepted replay per variant and side: at every
+    # position reachable with k cops, k + 1 cops keep every cops move and
+    # change neither the thief's moves nor who has won
+    masks = range(1 << g.n)
+    for variant in VARIANTS:
+        for k in range(g.n):
+            game, more = PursuitGame(g, k, variant), PursuitGame(g, k + 1, variant)
+            seen = {game.initial_position()}
+            todo = list(seen)
+            while todo:
+                pos = todo.pop()
+                assert game.winner_if_terminal(pos) == more.winner_if_terminal(pos)
+                nxt = game.successors(pos)
+                if game.owner(pos) == THIEF:
+                    assert nxt == more.successors(pos), (variant, k, pos, g.edges)
+                else:
+                    v, cmask, vmask, _ = pos
+                    assert (set(game.cop_configs(v, cmask, vmask))
+                            <= set(more.cop_configs(v, cmask, vmask))), (variant, k, pos)
+                    for c2 in masks:
+                        for t2 in masks if variant == "entv" else (0,):
+                            assert (not game._cops_move_legal(v, cmask, vmask, c2, t2)
+                                    or more._cops_move_legal(v, cmask, vmask, c2, t2)), (
+                                variant, k, pos, c2, t2, g.edges)
+                for q in nxt:
+                    if q not in seen:
+                        seen.add(q)
+                        todo.append(q)
 
 
 UCYCLE5 = dg(5, ucycle_edges(5))  # every variant's least k is 3
