@@ -16,8 +16,13 @@ an infinite play is a thief win.
   virtual set -- retire any subset of it and optionally reserve one new
   vertex anywhere.  The union of both sets never exceeds ``k``.
 
-The move rules and the position and move key formats live only in
+The move rules and the position and move key formats live in
 :class:`PursuitGame`; :func:`.gamecore.solve_finite_game` solves it.
+The plain rules are stated once more, in mask form, by
+``_ent_cops_win``: it decides one ``ent`` level for every cop set at
+once, and :func:`entanglement` uses it on the levels where it pays.
+``tests/test_entgames.py`` checks its winner against ``solve_pursuit``
+at every k on random graphs, which ties the two statements together.
 ``cop_configs`` enumerates the cops moves in the solver's order: those
 that put a real cop on the thief's vertex first, each group in
 ascending order, so the solver tries those first.  It is the only
@@ -28,10 +33,11 @@ move with a few mask tests, which is all that replay needs.
 from __future__ import annotations
 
 from functools import partial
+from math import comb
 
 from .digraph import Digraph, iter_mask, mask_of
 from .gamecore import (COPS, THIEF, GAMES, GameResult, GameSpec, play_by_successors,
-                       solve_finite_game)
+                       position_limit, solve_finite_game)
 
 __all__ = [
     "VARIANTS",
@@ -227,11 +233,89 @@ def solve_pursuit(g: Digraph, k: int, variant: str = "ent",
     return solve_finite_game(PursuitGame(g, k, variant), ceiling)
 
 
+def _ent_cops_win(g: Digraph, k: int) -> bool:
+    """Whether ``k`` cops win plain ``ent`` on ``g``, for all cop sets at once.
+
+    Bit ``m`` of an int of ``2**n`` bits stands for the cop set ``m``.
+    ``cops[v]`` holds the sets with which the cops win their turn with
+    the thief on ``v``, ``thief`` those of at most ``k`` cops with which
+    they win the thief's turn there, and ``has[x]`` the sets that
+    contain ``x``.  Sweeping
+    the vertices until no ``cops[v]`` changes gives the least fixpoint
+    of the rules of :class:`PursuitGame`, restated for masks:
+
+    * the thief's turn is won when every successor is blocked or won at
+      the cops' turn (a stuck thief loses);
+    * the cops' turn at ``v`` (not in the set) is won when one of their
+      moves wins the thief's turn: skip (the same set), add a cop on
+      ``v`` (the set minus ``v``, shifted down by ``2**v``), or move the
+      cop on ``x`` to ``v`` (shifted by ``2**x - 2**v``).
+
+    The cops win when they win their turn at every start with no cop.
+    """
+    n = g.n
+    if not n:
+        return True
+    everything = (1 << (1 << n)) - 1
+    # the sets holding x come in runs of 2**x, every 2**(x + 1)
+    has = [everything // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
+           for x in range(n)]
+    lacks = [everything ^ h for h in has]
+    by_size = [1] + [0] * k  # by_size[j]: the sets of j cops among the vertices so far
+    for x in range(n):
+        for j in range(k, 0, -1):
+            by_size[j] |= by_size[j - 1] << (1 << x)
+    valid = 0
+    for sets in by_size:
+        valid |= sets
+    succ = [list(iter_mask(m)) for m in g.succ_masks]
+    cops = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for v in range(n):
+            thief = valid
+            for w in succ[v]:
+                thief &= has[w] | cops[w]
+            on_v = thief & has[v]
+            vb = 1 << v
+            won = thief | on_v >> vb
+            for x in range(n):
+                if x != v:
+                    moved = on_v & lacks[x]
+                    shift = (1 << x) - vb
+                    won |= moved << shift if shift > 0 else moved >> -shift
+            # every rule keeps at most k cops; the sets that hold v are
+            # never read back, since ``has[v]`` already covers them
+            if won != cops[v]:
+                cops[v] = won
+                changed = True
+    return all(c & 1 for c in cops)
+
+
 def entanglement(g: Digraph, ceiling: int | None = None) -> int:
     """Least number of cops that wins the plain pursuit game on ``g``."""
-    # solves by ``solve_pursuit``: the benchmark's pursuit timings and useful_ratio read its spans
-    for k in range(g.n + 1):
-        if solve_pursuit(g, k, "ent", ceiling).winner == COPS:
+    # A level goes to ``_ent_cops_win`` when a local solve there could not
+    # trip the ceiling (it stores at most 1 + 2 n S positions for the S cop
+    # sets of at most k cops), so skips and ArenaCeilingError stay as they
+    # were, and when its 2**n masks are at most 32 S, which keeps it off
+    # sparse low levels where the local solve is tiny (on n = 8..14 the 32
+    # keeps every kernel level within about twice the local time).  Every
+    # other level is a ``solve_pursuit`` span.  In the benchmark those are
+    # the low levels of theorem-certify's graphs, among them every level
+    # of its upath graphs and k < 3 of ucycle-12, and every level of
+    # rank-scale's term graph, so the traced pursuit timings and
+    # useful_ratio keep their values.
+    n = g.n
+    limit = position_limit(ceiling)
+    sets = 0
+    for k in range(n + 1):
+        sets += comb(n, k)
+        if 1 + 2 * n * sets <= limit and (1 << n) <= 32 * sets:
+            won = _ent_cops_win(g, k)
+        else:
+            won = solve_pursuit(g, k, "ent", ceiling).winner == COPS
+        if won:
             return k
     raise AssertionError("cops always win once k covers every vertex")
 

@@ -1,14 +1,18 @@
 """Pursuit games for entanglement and its two reformulations."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entrank import entgames
 from entrank.digraph import Digraph, iter_mask, mask_of
 from entrank.entgames import (
     COPS,
     THIEF,
     PursuitGame,
+    _ent_cops_win,
     entanglement,
     solve_pursuit,
 )
@@ -186,3 +190,90 @@ def test_cop_configs_match_oracle_without_duplicates():
                         if q not in seen:
                             seen.add(q)
                             todo.append(q)
+
+
+@st.composite
+def graphs_with_loops(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    present = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return n, [e for e, b in zip(product(range(n), repeat=2), present) if b]
+
+
+@given(graphs_with_loops())
+@settings(max_examples=200, deadline=None)
+def test_mask_kernel_matches_the_local_solver_at_every_k(ne):
+    # ``_ent_cops_win`` restates the ``ent`` rules in mask form; it is
+    # called directly, so the dispatch in ``entanglement`` cannot hide it
+    n, edges = ne
+    g = dg(n, edges)
+    for k in range(n + 1):
+        assert _ent_cops_win(g, k) == (solve_pursuit(g, k, "ent").winner == COPS), (n, edges, k)
+    assert entanglement(g) == pursuit_min_k(n, tuple(edges), "ent")
+
+
+@pytest.mark.parametrize("n, edges, wins", [
+    (0, [], [True]),
+    (1, [], [True, True]),
+    (1, [(0, 0)], [False, True]),
+    # vertex 2 is a sink: a thief who enters it is stuck
+    (3, [(0, 1), (1, 0), (1, 2)], [False, True, True, True]),
+    (4, clique_edges(4), [False, False, False, True, True]),
+    # a kernel that moves the cop on x to v without checking that the set
+    # lacks x (so the shift carries into another set) says the cops win at
+    # k = 3; about one random graph in 5,000 with n <= 10 shows it
+    (7, [(0, 0), (0, 1), (1, 0), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (2, 4),
+         (3, 0), (3, 1), (3, 3), (3, 4), (3, 6), (4, 0), (4, 2), (4, 4), (4, 6),
+         (5, 0), (5, 2), (5, 6), (6, 2), (6, 3)],
+     [False, False, False, False, True, True, True, True]),
+], ids=["empty", "one-vertex", "one-loop", "sink", "clique-4", "carry"])
+def test_mask_kernel_edge_cases(n, edges, wins):
+    g = dg(n, edges)
+    assert [_ent_cops_win(g, k) for k in range(n + 1)] == wins
+    assert [solve_pursuit(g, k, "ent").winner == COPS for k in range(n + 1)] == wins
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    """Patch ``entgames.solve_pursuit`` to record each k it is called at."""
+    levels = []
+
+    def counted(g, k, *args, **kwargs):
+        levels.append(k)
+        return solve_pursuit(g, k, *args, **kwargs)
+
+    monkeypatch.setattr(entgames, "solve_pursuit", counted)
+    return levels
+
+
+def test_sparse_levels_are_solved_locally(monkeypatch):
+    # 2**16 masks are more than 32 times the cop sets of k <= 2
+    levels = _count_solves(monkeypatch)
+    assert entanglement(dg(16, upath_edges(16))) == 2
+    assert levels == [0, 1, 2]
+
+
+def test_dense_top_levels_go_to_the_mask_kernel(monkeypatch):
+    # from k = 2 on, the 56 cop sets of at most k cops times 32 cover 2**10 masks
+    g = dg(10, random_edges(10, 0.5, random.Random(59)))
+    want = least_winning_k(g, "ent")
+    assert want >= 3
+    levels = _count_solves(monkeypatch)
+    assert entanglement(g) == want
+    assert levels == [0, 1]
+
+
+def test_a_ceiling_below_the_arena_bound_keeps_the_local_solve(monkeypatch):
+    # clique-6's local solves store at most a few hundred positions, while
+    # 1 + 2 n S is 85, 265, 505, 685 and 757 at k = 1..5: each ceiling
+    # below gives the old loop's answer, or its ArenaCeilingError
+    g = dg(6, clique_edges(6))
+    for ceiling in (1, 5, 20, 84, 85, 265, 300, 353, 354, 400, 505, 757):
+        try:
+            want = least_winning_k(g, "ent", ceiling)
+        except ArenaCeilingError:
+            with pytest.raises(ArenaCeilingError):
+                entanglement(g, ceiling)
+        else:
+            assert entanglement(g, ceiling) == want == 5, ceiling
+    levels = _count_solves(monkeypatch)
+    assert entanglement(g, 400) == 5
+    assert levels == [0, 3, 4, 5]
