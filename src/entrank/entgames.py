@@ -63,12 +63,26 @@ def _submasks(m: int) -> list[int]:
     return out
 
 
+class _VertexTuples(dict):
+    """Mask -> its ascending vertex tuple, built on the first lookup."""
+
+    def __missing__(self, m: int) -> tuple[int, ...]:
+        t = self[m] = tuple(iter_mask(m))
+        return t
+
+
 class PursuitGame:
     """One pursuit game instance in the shared game protocol.
 
     Positions are ``("init",)`` (the thief is about to pick a starting
     vertex) or ``(vertex, cop_mask, virtual_mask, turn)``.  The plain
     and retirement variants keep the virtual mask at zero.
+
+    Position and move keys spell a cop mask as its ascending vertex
+    tuple.  Each instance builds that tuple once per mask, in its own
+    dict, so ``pos_key`` and ``move_key`` cost a lookup after the first
+    time and the keys of one game share their tuples.  The search itself
+    (``successors``) builds no keys.
     """
 
     finite_plays = False
@@ -82,6 +96,7 @@ class PursuitGame:
         self.k = k
         self.variant = variant
         self.game_id = variant
+        self._verts = _VertexTuples()
 
     # -- move rules ------------------------------------------------------
 
@@ -191,7 +206,8 @@ class PursuitGame:
             return ("start", dst[0])
         if src[3] == THIEF:
             return ("to", dst[0])
-        return ("occupy", tuple(iter_mask(dst[1])), tuple(iter_mask(dst[2])))
+        verts = self._verts
+        return ("occupy", verts[dst[1]], verts[dst[2]])
 
     def moves(self, pos):
         return [(self.move_key(pos, q), q) for q in self.successors(pos)]
@@ -224,7 +240,8 @@ class PursuitGame:
         if pos == INIT:
             return INIT
         v, cmask, vmask, turn = pos
-        return (v, tuple(iter_mask(cmask)), tuple(iter_mask(vmask)), turn)
+        verts = self._verts
+        return (v, verts[cmask], verts[vmask], turn)
 
 
 def solve_pursuit(g: Digraph, k: int, variant: str = "ent",

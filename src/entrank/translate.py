@@ -37,6 +37,15 @@ certificate already covers, so the certificate always has an answer;
 the budget stays within ``k`` because each frame holds exactly one
 cop and forward moves demand a positive deletion allowance.
 
+The walk meets one frame position and one thief component at many
+pursuit positions, and the answer depends on those two alone.  So the
+comeback game is consulted once per ``(frame position, component)``
+pair: one ``play`` to enter, one certificate lookup, one ``play`` to
+delete, all checked at that first consult, and the answer is kept for
+the rest of the call.  The component of the thief's vertex in a
+frame's graph is kept the same way.  The leak check, the release of
+deeper frames and the budget checks still run at every visit.
+
 The produced certificate is positional.  If two different histories
 force different decisions at one pursuit position, or any bookkeeping
 invariant above fails, a :class:`TranslationError` is raised -- loudly,
@@ -77,6 +86,13 @@ def translate_rank_strategy(g: Digraph, cert: StrategyCertificate,
     k = cert.k
     game = ComebackGame(g, k)
     pursuit = PursuitGame(g, k, "entv")
+    # Answers kept for the call, each stored once its checks pass, so a
+    # broken certificate still fails at its first consult: ``entered`` maps
+    # (parent, v) to the matched component of v in the parent's graph,
+    # ``answered`` maps (parent, component) to the certificate's deletion
+    # there and the position it leads to.  A CPos is its own key.
+    entered: dict[tuple[CPos, int], int] = {}
+    answered: dict[tuple[CPos, int], tuple[int, CPos]] = {}
 
     def respond(v: int, cmask: int, vmask: int, frames: tuple[tuple[int, CPos], ...]):
         """One cops decision: new cop sets plus the advanced frame chain."""
@@ -95,35 +111,42 @@ def translate_rank_strategy(g: Digraph, cert: StrategyCertificate,
             m -= 1
         parent = frames[m][1] if m >= 0 else game.initial_position()
 
-        smask = component(g, v, parent.mask)
-        if not cyclic(g, smask):
-            raise TranslationError(
-                f"matching broken: vertex {v} is free in a nontrivial component "
-                f"but trivial in the enclosing matched graph"
-            )
+        smask = entered.get((parent, v))
+        if smask is None:
+            smask = component(g, v, parent.mask)
+            if not cyclic(g, smask):
+                raise TranslationError(
+                    f"matching broken: vertex {v} is free in a nontrivial component "
+                    f"but trivial in the enclosing matched graph"
+                )
+            entered[parent, v] = smask
         if free & ~smask:
             raise TranslationError(
                 f"matching broken: the thief's free component at vertex {v} "
                 f"leaks outside the enclosing matched component"
             )
 
-        target = game.play(parent, ("enter", tuple(iter_mask(smask))))
-        if target is None:
-            raise TranslationError(
-                f"no forward move into the thief's component from {parent!r}"
-            )
-        # the certificate's deletion at this cops-turn comeback position
-        mk = cert.moves.get(game.pos_key(target))
-        if mk is None:
-            raise TranslationError(
-                f"certificate has no move at {target!r}; it does not win"
-            )
-        if mk[0] != "remove" or not (target.mask >> mk[1]) & 1:
-            raise TranslationError(f"certificate move {mk!r} is not a deletion in {target!r}")
-        u = mk[1]
-        match = game.play(target, ("remove", u))
-        if match is None:
-            raise TranslationError(f"move {('remove', u)!r} is not available at {target!r}")
+        answer = answered.get((parent, smask))
+        if answer is None:
+            target = game.play(parent, ("enter", tuple(iter_mask(smask))))
+            if target is None:
+                raise TranslationError(
+                    f"no forward move into the thief's component from {parent!r}"
+                )
+            # the certificate's deletion at this cops-turn comeback position
+            mk = cert.moves.get(game.pos_key(target))
+            if mk is None:
+                raise TranslationError(
+                    f"certificate has no move at {target!r}; it does not win"
+                )
+            if mk[0] != "remove" or not (target.mask >> mk[1]) & 1:
+                raise TranslationError(f"certificate move {mk!r} is not a deletion in {target!r}")
+            u = mk[1]
+            match = game.play(target, ("remove", u))
+            if match is None:
+                raise TranslationError(f"move {('remove', u)!r} is not available at {target!r}")
+            answer = answered[parent, smask] = (u, match)
+        u, match = answer
 
         released = 0
         for mark, _ in frames[m + 1:]:

@@ -1,5 +1,6 @@
 """Pursuit games for entanglement and its two reformulations."""
 
+import json
 import random
 from itertools import product
 
@@ -16,7 +17,14 @@ from entrank.entgames import (
     entanglement,
     solve_pursuit,
 )
-from entrank.gamecore import ArenaCeilingError, least_winning_k, verify_certificate
+from entrank.gamecore import (
+    ArenaCeilingError,
+    certificate_from_json,
+    certificate_to_json,
+    least_winning_k,
+    solve_finite_game,
+    verify_certificate,
+)
 from entrank.muterm import parse, term_graph
 
 from conftest import (
@@ -277,3 +285,56 @@ def test_a_ceiling_below_the_arena_bound_keeps_the_local_solve(monkeypatch):
     levels = _count_solves(monkeypatch)
     assert entanglement(g, 400) == 5
     assert levels == [0, 3, 4, 5]
+
+
+@given(graphs_with_loops(), st.sampled_from(entgames.VARIANTS), st.data())
+@settings(max_examples=30, deadline=None)
+def test_memoised_keys_spell_masks_as_before(ne, variant, data):
+    # ``pos_key`` and ``move_key`` read each vertex tuple from a dict of
+    # the game instance; at every position the solve lists they must
+    # spell the masks as ``tuple(iter_mask(...))`` does, ``play`` must
+    # still refuse malformed cops moves, and a certificate read back from
+    # JSON (fresh tuple objects) must still replay
+    n, edges = ne
+    g = dg(n, edges)
+    k = data.draw(st.integers(0, n))
+    game = PursuitGame(g, k, variant)
+    listed = {}
+    successors = game.successors
+
+    def recording(pos):
+        out = successors(pos)
+        listed[pos] = out[:]  # the solver overwrites its list with indices
+        return out
+
+    game.successors = recording
+    cert = solve_finite_game(game).certificate
+    other = PursuitGame(g, k, variant)
+    for pos, succ in listed.items():
+        if pos == entgames.INIT:
+            continue
+        v, cmask, vmask, turn = pos
+        spelled = (v, tuple(iter_mask(cmask)), tuple(iter_mask(vmask)), turn)
+        key = game.pos_key(pos)
+        assert key == spelled and key[1] is game.pos_key(pos)[1]
+        # each instance has its own dict
+        twin = other.pos_key(pos)
+        assert twin == key and (not cmask or twin[1] is not key[1])
+        if turn != COPS:
+            continue
+        # the first and the last cops move: the last names the most vertices
+        for q in succ[:1] + succ[1:][-1:]:
+            mk = game.move_key(pos, q)
+            assert mk == ("occupy", tuple(iter_mask(q[1])), tuple(iter_mask(q[2])))
+            assert game.play(pos, mk) == q
+            assert game.play(pos, ("occupy", list(mk[1]), list(mk[2]))) is None
+        for bad in ((2, 1), (1, 1), (n,)):
+            assert game.play(pos, ("occupy", bad, ())) is None, (pos, bad)
+            assert game.play(pos, ("occupy", (), bad)) is None, (pos, bad)
+    for key, mk in cert.moves.items():
+        if mk[0] == "occupy":
+            masks = mask_of(mk[1]), mask_of(mk[2])
+            assert mk == ("occupy", *(tuple(iter_mask(m)) for m in masks)), (key, mk)
+    back = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+    assert back.moves == cert.moves
+    assert verify_certificate(g, variant, k, back).ok

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from entrank.corpus import family_graph, generate_corpus
 from entrank.digraph import Digraph
 from entrank.entgames import solve_pursuit
 from entrank.gamecore import COPS, THIEF, ArenaCeilingError, StrategyCertificate, verify_certificate
@@ -109,6 +110,39 @@ def test_node_limit_is_enforced():
     res = solve_comeback_game(g, 3)
     with pytest.raises(ArenaCeilingError):
         translate_rank_strategy(g, res.certificate, ceiling=1)
+
+
+def test_node_count_is_pinned():
+    # the ceiling counts (pursuit position, frame chain) nodes, not
+    # comeback lookups: translating clique-5 visits exactly 188 of them
+    g = family_graph("clique", 5)
+    cert = solve_comeback_game(g, rank(g)).certificate
+    assert verify_certificate(g, "entv", cert.k, translate_rank_strategy(g, cert, ceiling=188)).ok
+    with pytest.raises(ArenaCeilingError):
+        translate_rank_strategy(g, cert, ceiling=187)
+
+
+@pytest.mark.parametrize("g", [
+    family_graph("upath", 16),
+    generate_corpus("random:n=12,p=0.3,seed=2,count=2")[1][1],
+], ids=["upath-16", "random-2-0001"])
+def test_each_comeback_lookup_is_played_once(monkeypatch, g):
+    # the translation meets one (parent, component) pair at many pursuit
+    # positions; it plays the comeback game once to enter the component
+    # and once to delete there, whatever the number of meetings
+    calls = []
+    play = ComebackGame.play
+
+    def counted(self, pos, mk):
+        calls.append((pos, mk))
+        return play(self, pos, mk)
+
+    monkeypatch.setattr(ComebackGame, "play", counted)
+    cert = solve_comeback_game(g, rank(g)).certificate
+    out = translate_rank_strategy(g, cert)
+    assert verify_certificate(g, "entv", cert.k, out).ok
+    pairs = {(pos, mk) for pos, mk in calls if mk[0] == "enter"}
+    assert pairs and len(calls) <= 2 * len(pairs)
 
 
 def _remove_outside(moves, _):
